@@ -4,7 +4,7 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke experiments-full ci lint clean
+.PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push perfbench-predictions examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke experiments-full ci lint clean
 
 install:
 	pip install -e .
@@ -50,6 +50,12 @@ bench-scale:
 # (several minutes; the 1M runs dominate).
 bench-push:
 	python benchmarks/bench_scalability_push.py --check BENCH_push_scale.json
+
+# The repo benchmark's own predictions (perfbench/, ~3 s): each workload
+# runs once at a small scale, traced; layers the benchmark declares idle
+# must read exactly idle, and tracing must not change the outcome.
+perfbench-predictions:
+	pytest perfbench/test_predictions.py -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null && echo OK; done
@@ -157,9 +163,10 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# What CI runs on every push/PR: lint, the tier-1 fast suite, and the
-# experiment smoke gate — no multi-minute bench regeneration.
-ci: lint test-fast experiments-smoke
+# What CI runs on every push/PR: lint, the tier-1 fast suite, the
+# experiment smoke gate and the benchmark's prediction tests — no
+# multi-minute bench regeneration.
+ci: lint test-fast experiments-smoke perfbench-predictions
 
 clean:
 	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/

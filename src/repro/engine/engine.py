@@ -276,6 +276,14 @@ class IftttEngine(HttpNode):
         self._m_poll_rtt = None
         self._m_poll_batch = None
         self._m_events_observed = None
+        # Per-action handles, cached the same way but resolved lazily (an
+        # engine that never dispatches must not register them) and keyed
+        # to the registry separately from the eager per-poll ones above.
+        self._m_action_registry = None
+        self._m_actions_dispatched: Dict[str, Any] = {}
+        self._m_actions_delivered: Dict[str, Any] = {}
+        self._m_t2a: Dict[str, Any] = {}
+        self._m_action_rtt = None
         self._n_polls_sent = f"{metrics_namespace}.polls_sent"
         self._n_poll_rtt = f"{metrics_namespace}.poll_rtt_seconds"
         self._n_poll_batch = f"{metrics_namespace}.poll_batch_new"
@@ -679,6 +687,14 @@ class IftttEngine(HttpNode):
         self._m_poll_batch = metrics.histogram(self._n_poll_batch, bounds=COUNT_BUCKETS)
         self._m_events_observed = metrics.counter(self._n_events_observed)
 
+    def _action_metrics(self, metrics) -> None:
+        """Drop the cached per-action handles and key them to ``metrics``."""
+        self._m_action_registry = metrics
+        self._m_actions_dispatched = {}
+        self._m_actions_delivered = {}
+        self._m_t2a = {}
+        self._m_action_rtt = None
+
     def _schedule_next_poll(self, runtime: _AppletRuntime, delay: float) -> None:
         if not runtime.applet.enabled:
             return
@@ -968,18 +984,27 @@ class IftttEngine(HttpNode):
         self.actions_dispatched += 1
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter(
-                f"{self._ns}.actions_dispatched", service=action.service_slug
-            ).inc()
+            if metrics is not self._m_action_registry:
+                self._action_metrics(metrics)
+            slug = action.service_slug
+            counter = self._m_actions_dispatched.get(slug)
+            if counter is None:
+                counter = self._m_actions_dispatched[slug] = metrics.counter(
+                    f"{self._ns}.actions_dispatched", service=slug
+                )
+            counter.inc()
             # Trigger-to-action latency as the engine sees it: action
             # dispatch time minus the event's ``meta.timestamp`` (when
             # the trigger condition was met at the service) — the §4
             # headline metric, dominated by the poll wait.
             triggered_at = wire_event.get("meta", {}).get("timestamp")
             if triggered_at is not None:
-                metrics.histogram(
-                    f"{self._ns}.t2a_seconds", service=action.service_slug
-                ).observe(max(0.0, self.now - triggered_at))
+                t2a = self._m_t2a.get(slug)
+                if t2a is None:
+                    t2a = self._m_t2a[slug] = metrics.histogram(
+                        f"{self._ns}.t2a_seconds", service=slug
+                    )
+                t2a.observe(max(0.0, self.now - triggered_at))
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -1055,7 +1080,14 @@ class IftttEngine(HttpNode):
         breaker = self.breaker_for(record.service_slug)
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram(f"{self._ns}.action_rtt_seconds").observe(response.elapsed)
+            if metrics is not self._m_action_registry:
+                self._action_metrics(metrics)
+            rtt = self._m_action_rtt
+            if rtt is None:
+                rtt = self._m_action_rtt = metrics.histogram(
+                    f"{self._ns}.action_rtt_seconds"
+                )
+            rtt.observe(response.elapsed)
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -1072,9 +1104,13 @@ class IftttEngine(HttpNode):
                 self.delivery.note_result(record.service_slug, ok=True)
             self.actions_delivered += 1
             if metrics is not None:
-                metrics.counter(
-                    f"{self._ns}.actions_delivered", service=record.service_slug
-                ).inc()
+                slug = record.service_slug
+                counter = self._m_actions_delivered.get(slug)
+                if counter is None:
+                    counter = self._m_actions_delivered[slug] = metrics.counter(
+                        f"{self._ns}.actions_delivered", service=slug
+                    )
+                counter.inc()
             return
         self.action_failures += 1
         if breaker is not None:

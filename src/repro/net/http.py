@@ -102,6 +102,10 @@ class HttpNode(Node):
         self.timeouts = 0
         self.late_responses = 0
         self.connection_refused = 0
+        # Per-message metric handles, cached like Network._deliver's: each
+        # is resolved on first use (a node registers only the instruments
+        # it updates) and all are dropped when Node.metrics changes.
+        self._bind_node_metrics(None)
 
     # -- server side ---------------------------------------------------------
 
@@ -139,6 +143,12 @@ class HttpNode(Node):
                 best_len = len(prefix)
         return best
 
+    def _bind_node_metrics(self, metrics) -> None:
+        """Drop the cached metric handles and key the cache to ``metrics``."""
+        self._m_node_registry = metrics
+        self._m_issued = self._m_served = self._m_rtt = None
+        self._m_responses: Dict[int, Any] = {}
+
     # -- client side ---------------------------------------------------------
 
     def request(
@@ -163,7 +173,14 @@ class HttpNode(Node):
         self.requests_issued += 1
         metrics = self.metrics
         if metrics is not None:
-            metrics.counter("http.requests_issued", node=self.address.host).inc()
+            if metrics is not self._m_node_registry:
+                self._bind_node_metrics(metrics)
+            counter = self._m_issued
+            if counter is None:
+                counter = self._m_issued = metrics.counter(
+                    "http.requests_issued", node=self.address.host
+                )
+            counter.inc()
         sent_at = self.now
         timeout_event = None
         if on_response is not None:
@@ -260,10 +277,21 @@ class HttpNode(Node):
             response = self._dispatch(request)
             response.request_id = request.request_id
             if metrics is not None:
-                metrics.counter("http.requests_served", node=self.address.host).inc()
-                metrics.counter(
-                    "http.responses", status_class=f"{response.status // 100}xx"
-                ).inc()
+                if metrics is not self._m_node_registry:
+                    self._bind_node_metrics(metrics)
+                served = self._m_served
+                if served is None:
+                    served = self._m_served = metrics.counter(
+                        "http.requests_served", node=self.address.host
+                    )
+                served.inc()
+                status = response.status
+                responses = self._m_responses.get(status)
+                if responses is None:
+                    responses = self._m_responses[status] = metrics.counter(
+                        "http.responses", status_class=f"{status // 100}xx"
+                    )
+                responses.inc()
             def reply() -> None:
                 self.send(
                     message.src,
@@ -297,9 +325,14 @@ class HttpNode(Node):
                 timeout_event.cancel()
             response.elapsed = self.now - sent_at
             if metrics is not None:
-                metrics.histogram("http.rtt_seconds", node=self.address.host).observe(
-                    response.elapsed
-                )
+                if metrics is not self._m_node_registry:
+                    self._bind_node_metrics(metrics)
+                rtt = self._m_rtt
+                if rtt is None:
+                    rtt = self._m_rtt = metrics.histogram(
+                        "http.rtt_seconds", node=self.address.host
+                    )
+                rtt.observe(response.elapsed)
             callback(response)
         else:
             raise ValueError(f"unknown http payload type {payload['type']!r}")

@@ -27,6 +27,7 @@ P² estimates.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.quantiles import DEFAULT_QUANTILES, QuantileSketch
@@ -42,6 +43,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 #: Buckets for small non-negative counts (poll batch sizes and the like).
 COUNT_BUCKETS: Tuple[float, ...] = (0, 1, 2, 5, 10, 20, 50, 100, 250, 500)
+
+#: Pending samples at which a :class:`Histogram` folds them in one batch
+#: (see its docstring); reads fold earlier.
+FOLD_BATCH = 256
 
 
 #: Interned label tuples: hot paths pass the same few label dicts
@@ -133,6 +138,14 @@ class Histogram(Metric):
     everything above the last edge, so ``len(bucket_counts) ==
     len(bounds) + 1``.  The sketch gives O(1)-memory p50/p95/p99 that the
     buckets alone could only resolve to bucket width.
+
+    :meth:`observe` only appends the sample to a pending list; the list
+    is folded into the buckets, sum, extremes and sketch in one batch
+    once it holds :data:`FOLD_BATCH` samples, and before every read
+    (``count``, ``total``, ``min``, ``max``, ``bucket_counts``,
+    ``sketch``, :meth:`mean`, :meth:`quantile`, :meth:`snapshot`).  The
+    fold performs the per-sample arithmetic in arrival order, so every
+    read is bit-identical to folding each sample as it arrives.
     """
 
     kind = "histogram"
@@ -149,50 +162,102 @@ class Histogram(Metric):
         if not ordered or any(b <= a for a, b in zip(ordered, ordered[1:])):
             raise ValueError(f"bounds must be strictly increasing, got {bounds}")
         self.bounds = ordered
-        self.bucket_counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.sketch = QuantileSketch(quantile_points)
+        self._bucket_counts = [0] * (len(ordered) + 1)
+        self._count = 0
+        self._total = 0.0
+        self._min: Optional[float] = None
+        self._max: Optional[float] = None
+        self._sketch = QuantileSketch(quantile_points)
+        self._pending: List[float] = []
 
     def observe(self, value: float) -> None:
-        """Absorb one sample."""
+        """Absorb one sample (``ValueError`` on NaN, which has no rank)."""
         value = float(value)
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.bucket_counts[lo] += 1
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self.sketch.observe(value)
+        if value != value:
+            raise ValueError(f"histogram {self.name!r} cannot absorb NaN")
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= FOLD_BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the pending samples into the buckets, sum, extremes and sketch."""
+        pending = self._pending
+        if not pending:
+            return
+        bounds, counts = self.bounds, self._bucket_counts
+        total = self._total
+        for value in pending:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        self._total = total
+        self._count += len(pending)
+        low, high = min(pending), max(pending)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        self._sketch.observe_many(pending)
+        pending.clear()
+
+    @property
+    def count(self) -> int:
+        """Number of samples absorbed."""
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> float:
+        """Sum of all samples."""
+        self._fold()
+        return self._total
+
+    @property
+    def min(self) -> Optional[float]:
+        """Smallest sample, or ``None`` when empty."""
+        self._fold()
+        return self._min
+
+    @property
+    def max(self) -> Optional[float]:
+        """Largest sample, or ``None`` when empty."""
+        self._fold()
+        return self._max
+
+    @property
+    def bucket_counts(self) -> List[int]:
+        """Per-bucket sample counts (the last is the overflow bucket)."""
+        self._fold()
+        return self._bucket_counts
+
+    @property
+    def sketch(self) -> QuantileSketch:
+        """The streaming-quantile sketch over every sample."""
+        self._fold()
+        return self._sketch
 
     def mean(self) -> float:
         """Arithmetic mean of all samples (NaN when empty)."""
-        return self.total / self.count if self.count else float("nan")
+        self._fold()
+        return self._total / self._count if self._count else float("nan")
 
     def quantile(self, q: float) -> float:
         """P² estimate for one of the tracked quantile points."""
         return self.sketch.quantile(q)
 
     def snapshot(self) -> Dict[str, Any]:
+        self._fold()
         return {
             "type": self.kind,
             "name": self.name,
             "labels": self.labels,
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
+            "count": self._count,
+            "sum": self._total,
+            "min": self._min,
+            "max": self._max,
             "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "quantiles": {str(q): v for q, v in self.sketch.values().items()},
+            "bucket_counts": list(self._bucket_counts),
+            "quantiles": {str(q): v for q, v in self._sketch.values().items()},
         }
 
 

@@ -69,52 +69,112 @@ class P2Quantile:
 
     def observe(self, value: float) -> None:
         """Absorb one observation."""
-        self._count += 1
-        if len(self._heights) < 5:
-            # Initialization phase: collect the first five values sorted.
-            self._heights.append(float(value))
-            self._heights.sort()
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Absorb a batch of observations, in order.
+
+        The batch kernel of the estimator: marker heights, positions and
+        desired positions live in local variables for the whole batch and
+        the three interior-marker adjustments are unrolled.  Every float
+        operation is the one the textbook per-sample update performs, in
+        the same order, so folding a stream in batches of any size leaves
+        bit-identical state.
+        """
+        count = len(values)
+        if not count:
             return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = float(value)
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = float(value)
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers if they drifted.
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
+        self._count += count
+        heights = self._heights
+        start = 0
+        while len(heights) < 5:
+            # Initialization phase: collect the first five values sorted.
+            if start == count:
+                return
+            heights.append(float(values[start]))
+            heights.sort()
+            start += 1
+        if start == count:
+            return
+        h0, h1, h2, h3, h4 = heights
+        n0, n1, n2, n3, n4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        _, i1, i2, i3, _ = self._increments
+        for index in range(start, count):
+            v = float(values[index])
+            # Locate the cell and shift the positions of every marker above it.
+            if v < h0:
+                h0 = v
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif v >= h4:
+                h4 = v
+            elif v >= h1:
+                # ``not >=`` rather than ``<``: a NaN height (``inf - inf``
+                # in an interpolation) must stop the scan as it always has.
+                if not v >= h2:
+                    n2 += 1.0
+                    n3 += 1.0
+                elif not v >= h3:
+                    n3 += 1.0
+            else:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            n4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Adjust the three interior markers if they drifted, low to high
+            # (each adjustment sees its lower neighbour's new height).
+            delta = d1 - n1
+            if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and n0 - n1 < -1.0):
+                s = 1.0 if delta >= 1.0 else -1.0
+                c = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                )
+                if h0 < c < h2:
+                    h1 = c
+                elif s > 0.0:
+                    h1 = h1 + s * (h2 - h1) / (n2 - n1)
                 else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+                    h1 = h1 + s * (h0 - h1) / (n0 - n1)
+                n1 += s
+            delta = d2 - n2
+            if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
+                s = 1.0 if delta >= 1.0 else -1.0
+                c = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < c < h3:
+                    h2 = c
+                elif s > 0.0:
+                    h2 = h2 + s * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 = h2 + s * (h1 - h2) / (n1 - n2)
+                n2 += s
+            delta = d3 - n3
+            if (delta >= 1.0 and n4 - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
+                s = 1.0 if delta >= 1.0 else -1.0
+                c = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < c < h4:
+                    h3 = c
+                elif s > 0.0:
+                    h3 = h3 + s * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 = h3 + s * (h2 - h3) / (n2 - n3)
+                n3 += s
+        heights[:] = (h0, h1, h2, h3, h4)
+        self._positions[:] = (n0, n1, n2, n3, n4)
+        # The outer desired positions move by 0.0 and 1.0 per sample, so
+        # one batched add is exact (positions stay integral below 2**53).
+        self._desired[:] = (d0, d1, d2, d3, d4 + (count - start))
 
     def value(self) -> float:
         """Current estimate of the tracked quantile.
@@ -137,8 +197,8 @@ class QuantileSketch:
     """A bank of :class:`P2Quantile` markers sharing one input stream.
 
     This is what :class:`~repro.obs.metrics.Histogram` embeds: one
-    ``observe`` feeds every tracked quantile, so p50/p95/p99 of a
-    million-event latency stream cost 5 floats each.
+    ``observe`` (or ``observe_many`` batch) feeds every tracked quantile,
+    so p50/p95/p99 of a million-event latency stream cost 5 floats each.
     """
 
     def __init__(self, points: Sequence[float] = DEFAULT_QUANTILES) -> None:
@@ -155,9 +215,18 @@ class QuantileSketch:
 
     def observe(self, value: float) -> None:
         """Absorb one observation into every tracked quantile."""
-        self._count += 1
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Absorb a batch into every tracked quantile.
+
+        The markers of different quantiles never interact, so running
+        each one over the whole batch in turn equals feeding the samples
+        one by one.
+        """
+        self._count += len(values)
         for sketch in self._sketches.values():
-            sketch.observe(value)
+            sketch.observe_many(values)
 
     def quantile(self, q: float) -> float:
         """Estimate for one of the tracked points."""

@@ -155,6 +155,12 @@ class PartnerService(HttpNode):
         self.add_route("POST", QUERY_PATH, self._handle_query)
         self.add_route("GET", STATUS_PATH, self._handle_status)
 
+    def _bind_node_metrics(self, metrics) -> None:
+        """Also drop the per-poll handles (see ``HttpNode._bind_node_metrics``)."""
+        super()._bind_node_metrics(metrics)
+        self._m_polls_served = None
+        self._m_poll_batch = None
+
     # -- endpoint declaration ----------------------------------------------------
 
     def add_trigger(self, endpoint: TriggerEndpoint) -> TriggerEndpoint:
@@ -423,11 +429,19 @@ class PartnerService(HttpNode):
         self.register_identity(slug, identity, fields)
         events = self.buffer_for(identity).fetch(limit)
         self.polls_served += 1
-        if self.metrics is not None:
-            self.metrics.counter("service.polls_served", service=self.slug).inc()
-            self.metrics.histogram(
-                "service.poll_batch_size", bounds=COUNT_BUCKETS, service=self.slug
-            ).observe(len(events))
+        metrics = self.metrics
+        if metrics is not None:
+            if metrics is not self._m_node_registry:
+                self._bind_node_metrics(metrics)
+            if self._m_polls_served is None:
+                self._m_polls_served = metrics.counter(
+                    "service.polls_served", service=self.slug
+                )
+                self._m_poll_batch = metrics.histogram(
+                    "service.poll_batch_size", bounds=COUNT_BUCKETS, service=self.slug
+                )
+            self._m_polls_served.inc()
+            self._m_poll_batch.observe(len(events))
         if self.trace is not None:
             self.trace.record(
                 self.now,

@@ -8,9 +8,10 @@ trace, record for record.
 
 import pytest
 
-from repro.obs import bridge_trace, poll_latency_summary
+from repro.obs import MetricsRegistry, bridge_trace, poll_latency_summary
 from repro.testbed.controller import TestController
 from repro.testbed.testbed import Testbed, TestbedConfig
+from tests.helpers import build_engine_world, install_ping_applet
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +111,42 @@ class TestDisabledMetrics:
         testbed.run_for(600.0)
         assert testbed.metrics is None
         assert len(testbed.trace) > 0  # tracing is independent of metrics
+
+
+class TestCachedHandles:
+    """Per-message call sites cache their instruments per registry.
+
+    Swapping the registry mid-run must rebind every cached handle (each
+    window's samples land in its own registry), and a handle is only
+    registered on first use — a node never gains instruments it does
+    not update, which would change snapshots.
+    """
+
+    def test_registry_swap_rebinds_every_cached_handle(self):
+        world = build_engine_world(with_trace=False)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        world.net.metrics = first
+        install_ping_applet(world.engine)
+        world.sim.run_until(5.0)
+        world.service.ingest_event("ping", {"n": 1})
+        world.sim.run_until(30.0)  # polls at 0.5 s + 10 s k: none in flight
+        world.net.metrics = second
+        world.service.ingest_event("ping", {"n": 2})
+        world.sim.run_until(60.0)
+        engine_host = world.engine.address.host
+        service_host = world.service.address.host
+        for registry in (first, second):
+            assert registry.total("engine.actions_dispatched") == 1
+            assert registry.total("engine.actions_delivered") == 1
+            assert registry.get("engine.t2a_seconds", service="svc").count == 1
+            assert registry.get("engine.action_rtt_seconds").count == 1
+            issued = registry.value("http.requests_issued", node=engine_host)
+            assert issued == registry.total("engine.polls_sent") + 1
+            assert registry.value("http.requests_served", node=service_host) == issued
+            assert registry.value("http.responses", status_class="2xx") == issued
+            assert registry.get("http.rtt_seconds", node=engine_host).count == issued
+            assert registry.total("service.polls_served") == registry.total(
+                "engine.polls_sent"
+            )
+            assert registry.get("http.requests_issued", node=service_host) is None
+            assert registry.get("http.requests_served", node=engine_host) is None
