@@ -4,12 +4,19 @@
 # needed): prepend the src/ layout to PYTHONPATH for all recipes.
 export PYTHONPATH := src:$(PYTHONPATH)
 
+# Committed sha256 of every CLI gate snapshot (sha256sum format, one
+# line per named snapshot).  `$(call gate-hash,FILE,NAME)` fails the
+# recipe unless FILE hashes to NAME's line, so a change that alters a
+# gate's output deterministically cannot pass by matching itself.
+GATE_HASHES := tools/gate_snapshots.sha256
+gate-hash = echo "$$(awk -v name="$(2)" '$$2 == name { print $$1 }' $(GATE_HASHES))  $(1)" | sha256sum -c --quiet - > /dev/null 2>&1 || { echo "$(2): snapshot differs from its hash in $(GATE_HASHES)"; exit 1; }
+
 .PHONY: install test test-fast test-shard bench bench-verbose bench-scale bench-push perfbench-predictions examples figures chaos chaos-check replay-check degrade-check push-check parallel-check experiments-smoke experiments-full ci lint clean
 
 install:
 	pip install -e .
 
-test: replay-check degrade-check push-check parallel-check experiments-smoke bench-scale bench-push
+test: chaos-check replay-check degrade-check push-check parallel-check experiments-smoke bench-scale bench-push
 	pytest tests/
 
 # Tier-1 + obs tests minus the multi-second soak/full-scale/example runs;
@@ -33,8 +40,8 @@ bench-verbose:
 
 # Fleet-scale perf gate (docs/PERFORMANCE.md): the committed
 # BENCH_fleet_scale.json must carry events/sec + peak RSS for
-# 10K/100K/1M applets and a passing heap-vs-timers snapshot gate;
-# then re-run the 10K dispatch-equivalence gate live.  Regenerate the
+# 10K/100K/1M applets and a snapshot gate that matched its golden;
+# then re-run the 10K snapshot gate live against that golden.  Regenerate the
 # report with `python benchmarks/bench_fleet_scale.py --output
 # BENCH_fleet_scale.json` (several minutes; the 1M run dominates).
 bench-scale:
@@ -72,14 +79,15 @@ chaos:
 	done
 
 # Determinism check: the same scenario + seed twice must produce
-# byte-identical metric snapshots, both single-engine and sharded
-# (docs/ROBUSTNESS.md, docs/SHARDING.md).
+# byte-identical metric snapshots, both single-engine and sharded, and
+# match the committed hashes (docs/ROBUSTNESS.md, docs/SHARDING.md).
 chaos-check:
 	@for n in 1 4; do \
 		python -m repro chaos --scenario outage --seed 7 --shards $$n --snapshot .chaos-a.jsonl > /dev/null || exit 1; \
 		python -m repro chaos --scenario outage --seed 7 --shards $$n --snapshot .chaos-b.jsonl > /dev/null || exit 1; \
 		cmp .chaos-a.jsonl .chaos-b.jsonl || exit 1; \
-		echo "chaos determinism (--shards $$n): OK (snapshots byte-identical)"; \
+		$(call gate-hash,.chaos-a.jsonl,chaos-shards$$n.jsonl); \
+		echo "chaos determinism (--shards $$n): OK (snapshots byte-identical, hash pinned)"; \
 	done
 	@rm -f .chaos-a.jsonl .chaos-b.jsonl
 
@@ -90,7 +98,8 @@ replay-check:
 	@python -m repro chaos --scenario outage --seed 7 --replay --snapshot .replay-a.jsonl > /dev/null || exit 1
 	@python -m repro chaos --scenario outage --seed 7 --replay --snapshot .replay-b.jsonl > /dev/null || exit 1
 	@cmp .replay-a.jsonl .replay-b.jsonl || exit 1
-	@echo "replay determinism: OK (snapshots byte-identical)"
+	@$(call gate-hash,.replay-a.jsonl,replay.jsonl)
+	@echo "replay determinism: OK (snapshots byte-identical, hash pinned)"
 	@rm -f .replay-a.jsonl .replay-b.jsonl
 
 # Degradation gate: the brownout scenario with adaptive delivery must
@@ -103,20 +112,22 @@ degrade-check:
 	@python -m repro chaos --scenario brownout --seed 7 --adaptive --snapshot .degrade-a.jsonl > /dev/null || exit 1
 	@python -m repro chaos --scenario brownout --seed 7 --adaptive --snapshot .degrade-b.jsonl > /dev/null || exit 1
 	@cmp .degrade-a.jsonl .degrade-b.jsonl || exit 1
-	@echo "degrade acceptance + determinism: OK (snapshots byte-identical)"
+	@$(call gate-hash,.degrade-a.jsonl,degrade.jsonl)
+	@echo "degrade acceptance + determinism: OK (snapshots byte-identical, hash pinned)"
 	@rm -f .degrade-a.jsonl .degrade-b.jsonl
 
 # Push-delivery determinism + equivalence gate (docs/DELIVERY.md):
 # (a) the same chaos scenario + seed under --delivery push must produce
-# byte-identical metric snapshots, single-engine and sharded; (b) the
-# poll/hint/push equivalence suite must pass across all shard strategies
-# and both poll-dispatch modes.
+# byte-identical metric snapshots, single-engine and sharded, matching
+# the committed hashes; (b) the poll/hint/push equivalence suite must
+# pass across all shard strategies.
 push-check:
 	@for n in 1 4; do \
 		python -m repro chaos --scenario outage --seed 7 --shards $$n --delivery push --snapshot .push-a.jsonl > /dev/null || exit 1; \
 		python -m repro chaos --scenario outage --seed 7 --shards $$n --delivery push --snapshot .push-b.jsonl > /dev/null || exit 1; \
 		cmp .push-a.jsonl .push-b.jsonl || exit 1; \
-		echo "push determinism (--shards $$n): OK (snapshots byte-identical)"; \
+		$(call gate-hash,.push-a.jsonl,push-shards$$n.jsonl); \
+		echo "push determinism (--shards $$n): OK (snapshots byte-identical, hash pinned)"; \
 	done
 	@rm -f .push-a.jsonl .push-b.jsonl
 	@pytest tests/test_push_equivalence.py -q
@@ -124,14 +135,15 @@ push-check:
 # Parallel-stepping equivalence gate (docs/SHARDING.md, "Parallel
 # stepping & epoch barriers"): serial (--jobs 1) and threaded (--jobs 4)
 # epoch stepping of the same sharded chaos scenario must produce
-# byte-identical metric snapshots (--parallel needs --shards >= 2), and
-# the serial-vs-parallel equivalence suite must pass across shard
-# strategies and poll-dispatch modes.
+# byte-identical metric snapshots (--parallel needs --shards >= 2) that
+# match the committed hash, and the serial-vs-parallel equivalence suite
+# must pass across shard strategies.
 parallel-check:
 	@python -m repro chaos --scenario outage --seed 7 --shards 4 --parallel --jobs 1 --snapshot .par-a.jsonl > /dev/null || exit 1
 	@python -m repro chaos --scenario outage --seed 7 --shards 4 --parallel --jobs 4 --snapshot .par-b.jsonl > /dev/null || exit 1
 	@cmp .par-a.jsonl .par-b.jsonl || exit 1
-	@echo "parallel determinism: OK (jobs=1 vs jobs=4 snapshots byte-identical)"
+	@$(call gate-hash,.par-a.jsonl,parallel-jobs1.jsonl)
+	@echo "parallel determinism: OK (jobs=1 vs jobs=4 snapshots byte-identical, hash pinned)"
 	@rm -f .par-a.jsonl .par-b.jsonl
 	@pytest tests/test_parallel_equivalence.py tests/test_simcore_parallel.py -q
 
@@ -147,7 +159,7 @@ experiments-smoke:
 	@echo "experiments-smoke: OK (results byte-identical, jobs/in-process equivalent)"
 	@rm -rf .exp-smoke-a .exp-smoke-b
 
-# The full nightly matrix (38 cells; a few minutes). Results land in
+# The full nightly matrix (32 cells; a few minutes). Results land in
 # experiment-results/ — results.txt is the human table.
 experiments-full:
 	python -m repro experiments EXPERIMENTS/matrix_full.json --jobs 8 --output experiment-results
@@ -163,10 +175,10 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# What CI runs on every push/PR: lint, the tier-1 fast suite, the
-# experiment smoke gate and the benchmark's prediction tests — no
-# multi-minute bench regeneration.
-ci: lint test-fast experiments-smoke perfbench-predictions
+# What CI runs on every push/PR: lint, the tier-1 fast suite, the chaos
+# determinism gate, the experiment smoke gate and the benchmark's
+# prediction tests — no multi-minute bench regeneration.
+ci: lint test-fast chaos-check experiments-smoke perfbench-predictions
 
 clean:
 	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/

@@ -1,39 +1,23 @@
 #!/usr/bin/env python
-"""Fleet-scale benchmark: the PR-over-PR perf trajectory for poll dispatch.
+"""Fleet-scale benchmark: the perf trajectory of poll dispatch at fleet scale.
 
-Produces ``BENCH_fleet_scale.json`` with three sections:
+Produces ``BENCH_fleet_scale.json`` with these sections:
 
 ``fleet``
     The end-to-end fleet workload (:class:`~repro.testbed.workload.FleetWorld`,
-    lean configuration) at 10K / 100K / 1M applets under the heap
-    scheduler: simulator events/sec, polls/sec, and peak RSS.  Each size
-    runs in its own subprocess so ``ru_maxrss`` (which is monotone over a
-    process lifetime) and GC state cannot bleed between measurements.
-
-``dispatch``
-    The dispatch layer in isolation at 100K applets — the production
-    scheduler classes driven with a minimal poll body, so the numbers
-    measure scheduling cost rather than the (mode-independent) simulated
-    HTTP exchange.  Two scenarios:
-
-    * ``steady``: lognormal production intervals, reschedule per poll —
-      the paper's §4 polling cadence.
-    * ``hint_churn``: every poll cycle is rescheduled ``CHURN`` times
-      before it fires, the shape realtime-hint storms impose (§6's
-      bursty-IoT load model).  Under the seed's per-applet timers each
-      reschedule allocates a fresh Event and leaves the dead one churning
-      through a 100K-entry simulator heap; the heap scheduler's lazy
-      cancellation makes it an O(1) generation bump.
-
-    ``speedup_vs_timers`` (the acceptance headline) is the hint-churn
-    ratio; per-scenario ratios are reported alongside.
+    lean configuration) at 10K / 100K / 1M applets: simulator
+    events/sec, polls/sec, and peak RSS.  Each size runs in its own
+    subprocess so ``ru_maxrss`` (which is monotone over a process
+    lifetime) and GC state cannot bleed between measurements.
 
 ``snapshot_gate``
     Determinism guard at 10K applets: the fully instrumented fleet
-    workload run under both dispatch modes must produce *byte-identical*
-    :func:`~repro.obs.metrics.dispatch_invariant_snapshot` blobs and
-    identical action counts.  ``make bench-scale`` re-runs this gate (and
-    validates the committed JSON's fields) in CI.
+    workload must reproduce a committed golden — the sha256 of its
+    :func:`~repro.obs.metrics.deterministic_snapshot`, its action count
+    and its poll count (:data:`GATE_GOLDENS`).  The goldens were
+    captured while the retired per-applet-timer dispatch still existed,
+    with heap == timers asserted for the same run.  ``make bench-scale``
+    re-runs this gate (and validates the committed JSON's fields).
 
 ``parallel``
     Epoch-barriered sharded stepping
@@ -47,6 +31,12 @@ Produces ``BENCH_fleet_scale.json`` with three sections:
     documents exactly that — the determinism contract, not the wall
     clock, is what the architecture guarantees on this hardware (see
     docs/PERFORMANCE.md).
+
+``history``
+    Frozen numbers that are no longer regenerated, carried over verbatim
+    from the existing output file on every run: the heap-vs-timers
+    dispatch comparison and snapshot gate from when the per-applet-timer
+    baseline still existed.
 
 Usage::
 
@@ -75,14 +65,29 @@ if SRC not in sys.path:
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fleet_scale.json")
 FLEET_SIZES = (10_000, 100_000, 1_000_000)
 QUICK_SIZES = (1_000, 2_000)
-DISPATCH_N = 100_000
-CHURN = 4
 SEED = 7
 PARALLEL_SHARDS = 4
 DEFAULT_JOBS = 4
 
 #: Fields the CI gate requires of every committed ``fleet`` entry.
 FLEET_FIELDS = ("n_applets", "events_per_sec", "polls_per_sec", "peak_rss_mb")
+
+#: Snapshot-gate goldens by fleet size (seed 11, two publications):
+#: deterministic-snapshot sha256, actions executed, polls sent.  Each
+#: was captured with heap and timers dispatch both in the tree and
+#: their runs asserted identical.
+GATE_GOLDENS = {
+    1_000: (
+        "5f9e4125bce0d2e67fc3ee77ead2c8d06f5c397743b4c844baa1699f9b373f2d",
+        1965,
+        4837,
+    ),
+    10_000: (
+        "6f2e38ed514c2f9f7a5dbc0eefd60857112622f6fd1ccd2413e258062052604a",
+        19610,
+        47983,
+    ),
+}
 
 
 def _peak_rss_mb() -> float:
@@ -94,11 +99,11 @@ def _peak_rss_mb() -> float:
 
 
 def measure_fleet(n_applets: int, horizon: float) -> dict:
-    """End-to-end fleet workload under the heap scheduler, lean config."""
+    """End-to-end fleet workload, lean config."""
     from repro.engine.config import EngineConfig
     from repro.testbed.workload import FleetWorld
 
-    config = EngineConfig(initial_poll_jitter=120.0, poll_dispatch="heap")
+    config = EngineConfig(initial_poll_jitter=120.0)
     t0 = time.perf_counter()
     world = FleetWorld(
         n_applets,
@@ -128,75 +133,12 @@ def measure_fleet(n_applets: int, horizon: float) -> dict:
     }
 
 
-class _DispatchHarness:
-    """Minimal engine stand-in: the real schedulers, a counter for a poll body."""
-
-    def __init__(self, mode: str, n: int) -> None:
-        from repro.engine.applet import ActionRef, Applet, TriggerRef
-        from repro.engine.engine import _AppletRuntime
-        from repro.engine.poller import ProductionPollingPolicy
-        from repro.engine.scheduler import make_poll_scheduler
-        from repro.simcore.rng import Rng
-        from repro.simcore.simulator import Simulator
-
-        self.sim = Simulator()
-        self.rng = Rng(seed=SEED, name="dispatch")
-        self._scheduler = make_poll_scheduler(self, mode)
-        self._applets = {}
-        self.polls = 0
-        self.churn = 0
-        proto = ProductionPollingPolicy()
-        trig = TriggerRef("svc", "t")
-        act = ActionRef("svc", "a", {})
-        self.runtimes = []
-        for i in range(n):
-            applet = Applet(
-                applet_id=i, name=f"a{i}", user="u", trigger=trig, action=act
-            )
-            runtime = _AppletRuntime(applet=applet, policy=proto.clone())
-            self.runtimes.append(runtime)
-            self._applets[i] = runtime
-
-    def _poll(self, runtime) -> None:
-        self.polls += 1
-        delay = runtime.policy.next_interval(self.rng)
-        self._scheduler.schedule(runtime, delay)
-        for _ in range(self.churn):
-            # a realtime hint pulls the pending poll earlier: the seed
-            # baseline cancels the timer and schedules a fresh Event
-            delay *= 0.5
-            self._scheduler.schedule(runtime, delay)
-
-
-def measure_dispatch(mode: str, scenario: str, n: int, horizon: float) -> dict:
-    """Dispatch-layer throughput for one (mode, scenario) pair."""
-    harness = _DispatchHarness(mode, n)
-    harness.churn = CHURN if scenario == "hint_churn" else 0
-    for runtime in harness.runtimes:
-        harness._scheduler.schedule(
-            runtime, harness.rng.uniform(0, 300.0), initial=True
-        )
-    t0 = time.perf_counter()
-    harness.sim.run_until(horizon)
-    elapsed = time.perf_counter() - t0
-    return {
-        "mode": mode,
-        "scenario": scenario,
-        "n_applets": n,
-        "horizon_sim_seconds": horizon,
-        "polls": harness.polls,
-        "run_seconds": round(elapsed, 3),
-        "polls_per_sec": round(harness.polls / elapsed, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-    }
-
-
 def measure_parallel(n_applets: int, horizon: float, num_shards: int, jobs: int) -> dict:
     """The sharded fleet workload stepped with ``jobs`` worker threads."""
     from repro.engine.config import EngineConfig
     from repro.testbed.workload import ShardedFleetWorld
 
-    config = EngineConfig(initial_poll_jitter=120.0, poll_dispatch="heap")
+    config = EngineConfig(initial_poll_jitter=120.0)
     t0 = time.perf_counter()
     world = ShardedFleetWorld(
         n_applets,
@@ -230,43 +172,37 @@ def measure_parallel(n_applets: int, horizon: float, num_shards: int, jobs: int)
 
 
 def measure_snapshot_gate(n_applets: int) -> dict:
-    """Both dispatch modes over the instrumented fleet; snapshots must match."""
+    """The instrumented fleet run, checked against its committed golden."""
     import hashlib
 
     from repro.engine.config import EngineConfig
-    from repro.obs.metrics import dispatch_invariant_snapshot
+    from repro.obs.metrics import deterministic_snapshot
     from repro.testbed.workload import FleetWorld
 
-    outcomes = {}
-    for mode in ("heap", "timers"):
-        config = EngineConfig(initial_poll_jitter=120.0, poll_dispatch=mode)
-        world = FleetWorld(n_applets, engine_config=config, seed=11)
-        result = world.run_publications(publications=2, spacing=300.0)
-        blob = json.dumps(
-            dispatch_invariant_snapshot(world.metrics), sort_keys=True
-        ).encode()
-        outcomes[mode] = {
-            "snapshot_sha256": hashlib.sha256(blob).hexdigest(),
-            "actions_executed": result.actions_executed,
-            "polls_sent": world.engine.polls_sent,
-        }
-    return {
+    golden_sha, golden_actions, golden_polls = GATE_GOLDENS[n_applets]
+    config = EngineConfig(initial_poll_jitter=120.0)
+    world = FleetWorld(n_applets, engine_config=config, seed=11)
+    result = world.run_publications(publications=2, spacing=300.0)
+    blob = json.dumps(deterministic_snapshot(world.metrics), sort_keys=True).encode()
+    outcome = {
         "n_applets": n_applets,
-        "identical": (
-            outcomes["heap"]["snapshot_sha256"]
-            == outcomes["timers"]["snapshot_sha256"]
-            and outcomes["heap"]["actions_executed"]
-            == outcomes["timers"]["actions_executed"]
-        ),
-        **outcomes,
+        "snapshot_sha256": hashlib.sha256(blob).hexdigest(),
+        "actions_executed": result.actions_executed,
+        "polls_sent": world.engine.polls_sent,
+        "golden_sha256": golden_sha,
     }
+    outcome["matches_golden"] = (
+        outcome["snapshot_sha256"] == golden_sha
+        and outcome["actions_executed"] == golden_actions
+        and outcome["polls_sent"] == golden_polls
+    )
+    return outcome
 
 
 # -- orchestration --------------------------------------------------------------
 
 CHILD_MEASURES = {
     "fleet": measure_fleet,
-    "dispatch": measure_dispatch,
     "parallel": measure_parallel,
     "snapshot_gate": measure_snapshot_gate,
 }
@@ -298,11 +234,10 @@ def run_full(sizes, output: str, isolate: bool = True, jobs: int = DEFAULT_JOBS)
 
     report = {
         "benchmark": "fleet_scale",
-        "description": "poll-dispatch hot path at fleet scale (ISSUE 6)",
+        "description": "poll-dispatch hot path at fleet scale",
         "python": sys.version.split()[0],
         "seed": SEED,
         "fleet": [],
-        "dispatch": {"n_applets": DISPATCH_N, "churn": CHURN, "scenarios": {}},
         "parallel": {
             "num_shards": PARALLEL_SHARDS,
             "jobs": jobs,
@@ -351,29 +286,16 @@ def run_full(sizes, output: str, isolate: bool = True, jobs: int = DEFAULT_JOBS)
             flush=True,
         )
 
-    dispatch_n = DISPATCH_N if not (set(sizes) == set(QUICK_SIZES)) else max(sizes)
-    report["dispatch"]["n_applets"] = dispatch_n
-    # hint_churn runs past the 0-300s poll-start spread: the timer
-    # baseline only reaches its degraded steady state (a sim heap full
-    # of cancelled events) once the whole fleet is churning.
-    for scenario, horizon in (("steady", 300.0), ("hint_churn", 400.0)):
-        pair = {}
-        for mode in ("heap", "timers"):
-            print(f"[dispatch] {scenario}/{mode} at {dispatch_n} ...", flush=True)
-            pair[mode] = run("dispatch", mode, scenario, dispatch_n, horizon)
-        speedup = round(
-            pair["heap"]["polls_per_sec"] / pair["timers"]["polls_per_sec"], 2
-        )
-        report["dispatch"]["scenarios"][scenario] = {**pair, "speedup": speedup}
-        print(f"  speedup {scenario}: {speedup}x", flush=True)
-    report["speedup_vs_timers"] = report["dispatch"]["scenarios"]["hint_churn"][
-        "speedup"
-    ]
-
     gate_n = 10_000 if not (set(sizes) == set(QUICK_SIZES)) else min(sizes)
-    print(f"[snapshot_gate] {gate_n} applets, heap vs timers ...", flush=True)
+    print(f"[snapshot_gate] {gate_n} applets vs golden ...", flush=True)
     report["snapshot_gate"] = run("snapshot_gate", gate_n)
-    print(f"  identical: {report['snapshot_gate']['identical']}", flush=True)
+    print(f"  matches_golden: {report['snapshot_gate']['matches_golden']}", flush=True)
+
+    if os.path.exists(output):
+        with open(output) as fh:
+            history = json.load(fh).get("history")
+        if history is not None:
+            report["history"] = history
 
     with open(output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -402,11 +324,9 @@ def check_report(path: str) -> int:
         for field in FLEET_FIELDS:
             if field not in entry:
                 errors.append(f"fleet[{entry.get('n_applets')}] missing {field!r}")
-    if "speedup_vs_timers" not in report:
-        errors.append("missing top-level 'speedup_vs_timers'")
     gate = report.get("snapshot_gate", {})
-    if gate.get("identical") is not True:
-        errors.append("snapshot_gate.identical is not true")
+    if gate.get("matches_golden") is not True:
+        errors.append("snapshot_gate.matches_golden is not true")
     parallel = report.get("parallel", {})
     if "cpu_cores" not in parallel:
         errors.append("parallel section missing 'cpu_cores'")
@@ -431,7 +351,7 @@ def check_report(path: str) -> int:
     if not errors:
         print(
             f"bench-scale: {path} ok "
-            f"(sizes={sorted(sizes)}, speedup_vs_timers={report['speedup_vs_timers']}x, "
+            f"(sizes={sorted(sizes)}, "
             f"parallel sizes={sorted(parallel_sizes)} on "
             f"{parallel['cpu_cores']} core(s))"
         )
@@ -439,13 +359,13 @@ def check_report(path: str) -> int:
 
 
 def run_gate(n_applets: int = 10_000) -> int:
-    """Re-run the determinism gate live (CI): modes must agree at 10K."""
+    """Re-run the determinism gate live (CI) against its golden."""
     outcome = measure_snapshot_gate(n_applets)
     print(json.dumps(outcome, indent=2, sort_keys=True))
-    if not outcome["identical"]:
+    if not outcome["matches_golden"]:
         print(
-            "bench-scale: deterministic-snapshot gate DIVERGED between "
-            "heap and timers dispatch",
+            "bench-scale: deterministic-snapshot gate DIVERGED from the "
+            f"committed golden at {n_applets} applets",
             file=sys.stderr,
         )
         return 1
@@ -465,7 +385,8 @@ def main(argv=None) -> int:
         help="run only the 10K deterministic-snapshot gate (CI)",
     )
     parser.add_argument(
-        "--gate-size", type=int, default=10_000, help="applets for --gate-only"
+        "--gate-size", type=int, default=10_000, choices=sorted(GATE_GOLDENS),
+        help="applets for --gate-only (a size with a committed golden)",
     )
     parser.add_argument(
         "--check", metavar="FILE", help="validate a committed report's fields"
@@ -489,7 +410,7 @@ def main(argv=None) -> int:
         return run_gate(args.gate_size)
     sizes = QUICK_SIZES if args.quick else FLEET_SIZES
     report = run_full(sizes, args.output, isolate=not args.quick, jobs=args.jobs)
-    ok = report["snapshot_gate"]["identical"] and all(
+    ok = report["snapshot_gate"]["matches_golden"] and all(
         entry["identical_counts"] for entry in report["parallel"]["sizes"]
     )
     return 0 if ok else 1

@@ -108,7 +108,6 @@ def measure_delivery(mode: str, n_applets: int) -> dict:
     config = EngineConfig(
         realtime_allowlist=None if mode == "hint" else frozenset(),
         initial_poll_jitter=120.0,
-        poll_dispatch="heap",
         push_policy=push_policy,
     )
     t0 = time.perf_counter()

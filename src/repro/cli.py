@@ -163,6 +163,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.parallel and args.shards < 2:
         print("--parallel requires --shards >= 2", file=sys.stderr)
         return 2
+    if args.jobs > 1 and not args.parallel:
+        print("--jobs requires --parallel", file=sys.stderr)
+        return 2
     if args.replay_batch_limit < 1:
         print(f"--replay-batch-limit must be >= 1, got {args.replay_batch_limit}",
               file=sys.stderr)

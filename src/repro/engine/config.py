@@ -9,7 +9,6 @@ from repro.engine.delivery import DeliveryPolicy
 from repro.engine.poller import PollingPolicy, ProductionPollingPolicy
 from repro.engine.push import PushPolicy
 from repro.engine.resilience import BreakerPolicy, ReplayPolicy, RetryPolicy
-from repro.engine.scheduler import POLL_DISPATCH_MODES
 
 #: Services whose realtime hints production IFTTT is observed to honour.
 #: §4: "it is likely that IFTTT ... processes the real-time API hints for
@@ -125,17 +124,6 @@ class EngineConfig:
         watermarked backlog degrades the service push→hint→poll.
         Applets on contract services poll only at the policy's
         ``safety_net_interval``.  See ``docs/DELIVERY.md``.
-    poll_dispatch:
-        How scheduled polls become simulator events — one of
-        :data:`~repro.engine.scheduler.POLL_DISPATCH_MODES`.  ``heap``
-        (the default) runs the engine-internal heap scheduler: one wake
-        event per engine pops batches of due polls, with lazy
-        cancellation on uninstall.  ``timers`` is the seed dispatch (one
-        simulator event per poll) kept as the equivalence/benchmark
-        baseline.  The two are dispatch-equivalent — same poll times,
-        same order, same RNG consumption, identical deterministic
-        snapshots modulo kernel event counters; see
-        ``docs/PERFORMANCE.md`` and ``tests/test_scheduler_equivalence.py``.
     """
 
     poll_policy: PollingPolicy = field(default_factory=ProductionPollingPolicy)
@@ -157,7 +145,6 @@ class EngineConfig:
     push_policy: Optional[PushPolicy] = None
     num_shards: int = 1
     shard_strategy: str = "service_hash"
-    poll_dispatch: str = "heap"
 
     def __post_init__(self) -> None:
         if self.batch_limit <= 0:
@@ -170,11 +157,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown shard_strategy {self.shard_strategy!r}; "
                 f"expected one of {SHARD_STRATEGIES}"
-            )
-        if self.poll_dispatch not in POLL_DISPATCH_MODES:
-            raise ValueError(
-                f"unknown poll_dispatch {self.poll_dispatch!r}; "
-                f"expected one of {POLL_DISPATCH_MODES}"
             )
 
     def honours_realtime_for(self, service_slug: str) -> bool:

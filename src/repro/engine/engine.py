@@ -36,7 +36,7 @@ from repro.engine.permissions import ServicePermissionModel
 from repro.engine.poller import PollingPolicy
 from repro.engine.push import PushController
 from repro.engine.replay import ReplayController
-from repro.engine.scheduler import make_poll_scheduler
+from repro.engine.scheduler import HeapPollScheduler
 from repro.engine.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -90,9 +90,7 @@ class _AppletRuntime:
     drive, per-instance ``__dict__``s would cost hundreds of megabytes
     and defeat CPU caches on the poll hot path (see
     ``docs/PERFORMANCE.md``).  ``poll_gen``/``poll_scheduled`` belong to
-    the heap poll scheduler's lazy-cancellation protocol;
-    ``pending_poll_event`` belongs to the per-applet-timer baseline —
-    each dispatch mode leaves the other's fields untouched.
+    the heap poll scheduler's lazy-cancellation protocol.
     ``fast_poll_pending`` belongs to delivery admission control: it
     marks a hint-induced fast poll outstanding for this applet, so the
     per-service hint backlog stays exact under supersede/cancel.
@@ -105,7 +103,6 @@ class _AppletRuntime:
         "seen_ids",
         "seen_order",
         "poll_in_flight",
-        "pending_poll_event",
         "polls",
         "last_poll_at",
         "poll_attempts",
@@ -126,7 +123,6 @@ class _AppletRuntime:
         self.seen_ids: Set[int] = set()
         self.seen_order: Deque[int] = deque()
         self.poll_in_flight = False
-        self.pending_poll_event: Any = None
         self.polls = 0
         self.last_poll_at: Optional[float] = None
         # consecutive failed attempts in the current retry burst
@@ -260,10 +256,9 @@ class IftttEngine(HttpNode):
             if self.config.push_policy is not None
             else None
         )
-        # Poll dispatch: how scheduled polls become simulator events —
-        # the heap scheduler (one wake event per engine, batched pops)
-        # or the seed per-applet timers.  See repro.engine.scheduler.
-        self._scheduler = make_poll_scheduler(self, self.config.poll_dispatch)
+        # Poll dispatch: one wake event per engine pops batches of due
+        # polls.  See repro.engine.scheduler.
+        self._scheduler = HeapPollScheduler(self)
         # Hot-path metric handles.  The registry get-or-create path
         # rebuilds a label dict and a sorted label tuple on every call;
         # at fleet scale that dominates the dispatch loop, so the
@@ -516,7 +511,6 @@ class IftttEngine(HttpNode):
     def poll_dispatch_stats(self) -> Dict[str, Any]:
         """The poll scheduler's occupancy/lifecycle snapshot.
 
-        ``mode`` names the active dispatch strategy; heap mode adds
         ``heap_entries``/``live_entries``/``stale_entries`` (the
         lazy-cancellation ledger), ``compactions``, ``wakes``, and
         ``batched_polls``.  See ``docs/PERFORMANCE.md``.
@@ -701,7 +695,6 @@ class IftttEngine(HttpNode):
         self._scheduler.schedule(runtime, delay)
 
     def _poll(self, runtime: _AppletRuntime) -> None:
-        runtime.pending_poll_event = None
         applet = runtime.applet
         if runtime.fast_poll_pending:
             # The hint-induced fast poll is firing (or no-oping): its

@@ -1,15 +1,13 @@
-"""Poll-dispatch strategies: how applet polls become simulator events.
+"""The poll scheduler: how applet polls become simulator events.
 
-The seed engine scheduled **one simulator timer event per applet poll**
-(`sim.schedule(delay, engine._poll, runtime)`).  That is simple and
-exactly reproduces the paper's per-applet polling cadence, but it keeps
-one live :class:`~repro.simcore.event.Event` in the simulator heap per
-installed applet — at the ROADMAP's 1M-applet north star every kernel
+The seed engine scheduled **one simulator timer event per applet poll**.
+That keeps one live :class:`~repro.simcore.event.Event` in the simulator
+heap per installed applet — at the 1M-applet fleet sizes every kernel
 heap operation (including the ones for unrelated network deliveries)
 pays ``O(log 1M)`` comparisons against rich Event objects.
 
-:class:`HeapPollScheduler` replaces that with **one scheduler wake event
-per engine**: due polls live in an engine-internal binary heap of plain
+:class:`HeapPollScheduler` instead keeps **one scheduler wake event per
+engine**: due polls live in an engine-internal binary heap of plain
 ``(time, seq, runtime, generation)`` tuples (C-speed comparisons, no
 per-poll Event allocation), and a single simulator event pops every poll
 due at the wake time in one batch.  Cancellation (uninstall, disable,
@@ -18,23 +16,24 @@ the stale heap entry is discarded when it surfaces — with periodic
 compaction so uninstall storms cannot pin memory (see
 ``docs/PERFORMANCE.md``).
 
-Determinism contract
---------------------
-Both strategies fire the same polls at the same simulation times in the
-same order, consume the engine RNG identically, and therefore produce
-identical traces, T2A samples, and metric snapshots (modulo the kernel
-event counters in
-:data:`~repro.obs.metrics.DISPATCH_SENSITIVE_METRICS`, because one wake
-event can fire many polls).  ``tests/test_scheduler_equivalence.py``
-pins this equivalence property across seeds, corpora, and all shard
-strategies; ``benchmarks/bench_fleet_scale.py`` measures the speed gap.
+Golden pins
+-----------
+The scheduler fires the same polls at the same simulation times in the
+same order as the seed's per-applet timers did, consuming the engine RNG
+identically.  That timer baseline is retired; the contract it guarded is
+pinned by golden hashes that were captured with both dispatch paths in
+the tree and heap == timers asserted: poll lists, T2A samples and
+deterministic snapshots of fleet, sharded and uninstall-storm runs
+(``tests/test_scheduler_equivalence.py``,
+``tests/test_scheduler_churn.py``) and the 10K-applet
+``benchmarks/bench_fleet_scale.py --gate-only`` snapshot.
 
 Ordering fine print: within one engine, polls scheduled for the same
-instant fire in scheduling order under both strategies (the internal
-heap's ``seq`` mirrors the simulator's event sequence).  Across engines
-(shards), simultaneous polls batch per shard under the heap scheduler;
-shard RNGs are independent forks, so per-shard behaviour — and the
-merged-snapshot algebra built on it — is unaffected.
+instant fire in scheduling order (the internal heap's ``seq`` mirrors
+the simulator's event sequence).  Across engines (shards), simultaneous
+polls batch per shard; shard RNGs are independent forks, so per-shard
+behaviour — and the merged-snapshot algebra built on it — is
+unaffected.
 """
 
 from __future__ import annotations
@@ -43,69 +42,9 @@ import itertools
 from heapq import heapify, heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Poll-dispatch strategies understood by
-#: :class:`~repro.engine.config.EngineConfig.poll_dispatch`.
-POLL_DISPATCH_MODES: tuple = ("heap", "timers")
-
 #: Compaction trigger: rebuild the internal heap once it holds at least
 #: this many entries *and* at least half of them are lazily-cancelled.
 COMPACT_MIN_ENTRIES = 1024
-
-
-class TimerPollScheduler:
-    """The seed dispatch: one simulator timer event per scheduled poll.
-
-    Kept verbatim as the baseline for the heap/timers equivalence suite
-    and the ``bench_fleet_scale`` speedup measurement.
-    """
-
-    mode = "timers"
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def schedule(self, runtime, delay: float, initial: bool = False) -> None:
-        """Schedule (or reschedule) the applet's next poll ``delay`` out."""
-        if runtime.pending_poll_event is not None:
-            runtime.pending_poll_event.cancel()
-        tag = "initial-poll" if initial else "poll"
-        runtime.pending_poll_event = self.engine.sim.schedule(
-            delay,
-            self.engine._poll,
-            runtime,
-            label=f"{tag}#{runtime.applet.applet_id}",
-        )
-
-    def cancel(self, runtime) -> None:
-        """Cancel the applet's pending poll timer, if any."""
-        if runtime.pending_poll_event is not None:
-            runtime.pending_poll_event.cancel()
-            runtime.pending_poll_event = None
-
-    def pending_polls(self) -> int:
-        """Live (non-cancelled) scheduled polls."""
-        engine = self.engine
-        return sum(
-            1
-            for rt in engine._applets.values()
-            if rt.pending_poll_event is not None
-            and not rt.pending_poll_event.canceled
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        """Introspection snapshot (shape shared with the heap scheduler)."""
-        live = self.pending_polls()
-        return {
-            "mode": self.mode,
-            "heap_entries": live,
-            "live_entries": live,
-            "stale_entries": 0,
-            "compactions": 0,
-            "wakes": 0,
-            "batched_polls": 0,
-        }
 
 
 class HeapPollScheduler:
@@ -128,8 +67,6 @@ class HeapPollScheduler:
     cheap no-op; compaction (:meth:`_maybe_compact`) bounds how many
     stale entries an uninstall storm can leave behind.
     """
-
-    mode = "heap"
 
     __slots__ = (
         "engine",
@@ -252,7 +189,6 @@ class HeapPollScheduler:
     def stats(self) -> Dict[str, Any]:
         """Heap occupancy and lifecycle counters (for tests and reports)."""
         return {
-            "mode": self.mode,
             "heap_entries": len(self._heap),
             "live_entries": self.pending_polls(),
             "stale_entries": self.stale_entries,
@@ -261,14 +197,3 @@ class HeapPollScheduler:
             "batched_polls": self.batched_polls,
         }
 
-
-def make_poll_scheduler(engine, mode: str):
-    """Build the poll scheduler named by ``mode`` (see
-    :data:`POLL_DISPATCH_MODES`)."""
-    if mode == "heap":
-        return HeapPollScheduler(engine)
-    if mode == "timers":
-        return TimerPollScheduler(engine)
-    raise ValueError(
-        f"unknown poll_dispatch {mode!r}; expected one of {POLL_DISPATCH_MODES}"
-    )

@@ -2,7 +2,7 @@
 
 One JSON spec sweeps the reproduction's axes — ``shards`` x
 ``shard_strategy`` x ``corpus_size`` x ``fault_plan`` x
-``delivery_mode`` x ``poll_dispatch`` — and expands into a flat list of
+``delivery_mode`` — and expands into a flat list of
 *cells*.  Every cell runs deterministically (its seed derives from the
 spec's content hash and the cell index, never from the host), emits a
 per-cell metrics snapshot, and folds into an aggregated results table

@@ -29,8 +29,6 @@ import sys
 import time
 from typing import Any, Dict, List, Tuple
 
-from repro.engine.config import EngineConfig
-from repro.engine.poller import FixedPollingPolicy
 from repro.experiments.results import CellResult, MatrixResults, RepeatOutcome
 from repro.experiments.spec import (
     Cell,
@@ -60,17 +58,6 @@ PHASE_ORDER = ("before", "during", "after")
 # -- kind runners ------------------------------------------------------------------
 
 
-def _chaos_engine_config(poll_interval: float, poll_dispatch: str) -> EngineConfig:
-    """The chaos worlds' default engine config, plus the swept dispatcher."""
-    return EngineConfig(
-        poll_policy=FixedPollingPolicy(poll_interval),
-        initial_poll_delay=0.5,
-        poll_timeout=10.0,
-        action_timeout=10.0,
-        poll_dispatch=poll_dispatch,
-    )
-
-
 def _chaos_scenario_for(spec: ExperimentSpec, cell: Cell) -> ChaosScenario:
     """The cell's scenario, with a spec-defined plan swapped in if named."""
     scenario = chaos_scenario(cell.params["scenario"])
@@ -89,7 +76,6 @@ def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float]
     params = cell.params
     knobs = cell.sweep.knobs
     scenario = _chaos_scenario_for(spec, cell)
-    config = _chaos_engine_config(knobs["poll_interval"], params["poll_dispatch"])
     sharded = params["shards"] > 1 or params["corpus_size"] > 1
     if sharded:
         world = ShardedChaosWorld(
@@ -98,14 +84,12 @@ def _run_chaos(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float]
             num_shards=params["shards"],
             shard_strategy=params["shard_strategy"],
             pairs=params["corpus_size"],
-            engine_config=config,
             delivery_mode=params["delivery_mode"],
         )
     else:
         world = ChaosWorld(
             seed=seed,
             poll_interval=knobs["poll_interval"],
-            engine_config=config,
             delivery_mode=params["delivery_mode"],
         )
     result = world.run(scenario, drain=knobs["drain"])
@@ -150,7 +134,6 @@ def _run_t2a(spec: ExperimentSpec, cell: Cell, seed: int) -> Tuple[List[float], 
     testbed = Testbed(
         TestbedConfig(
             seed=seed,
-            engine_config=EngineConfig(poll_dispatch=params["poll_dispatch"]),
             fault_plan=resolve_fault_plan(spec, cell),
         )
     )

@@ -16,14 +16,12 @@ from repro.obs.metrics import (
     COUNT_BUCKETS,
     Counter,
     DEFAULT_BUCKETS,
-    DISPATCH_SENSITIVE_METRICS,
     Gauge,
     Histogram,
     MetricsRegistry,
     ScopedRegistry,
     WALLCLOCK_METRICS,
     deterministic_snapshot,
-    dispatch_invariant_snapshot,
     merge_snapshots,
     snapshot_from_json_lines,
     snapshot_to_json_lines,
@@ -43,7 +41,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
-    "DISPATCH_SENSITIVE_METRICS",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -55,7 +52,6 @@ __all__ = [
     "WALLCLOCK_METRICS",
     "bridge_trace",
     "deterministic_snapshot",
-    "dispatch_invariant_snapshot",
     "merge_snapshots",
     "poll_latency_summary",
     "rank_error",

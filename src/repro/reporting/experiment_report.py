@@ -23,7 +23,6 @@ _PARAM_ORDER = (
     "shard_strategy",
     "corpus_size",
     "delivery_mode",
-    "poll_dispatch",
 )
 
 

@@ -35,7 +35,7 @@ commutative snapshot algebra (`shard_snapshot` / `merged_fleet_snapshot`
 — counters add, gauges max), so serial and parallel stepping produce
 **byte-identical merged snapshots**.  ``make parallel-check`` gates
 exactly that, and ``tests/test_parallel_equivalence.py`` pins it across
-shard strategies and poll-dispatch modes.
+shard strategies.
 
 Wall-clock scaling follows the hardware: with the CPython GIL, threaded
 epochs overlap only the interpreter's release points, so single-process

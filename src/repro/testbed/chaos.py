@@ -1480,8 +1480,12 @@ def run_sharded_chaos_scenario(
     ``service_hash``).  ``parallel=True`` runs the epoch-stepped
     :class:`ParallelShardedChaosWorld` instead of the single-simulator
     world, stepping shards with ``jobs`` worker threads (``jobs=1`` is
-    its serial mode — byte-identical snapshots either way).
+    its serial mode — byte-identical snapshots either way).  ``jobs > 1``
+    without ``parallel`` raises :class:`ValueError`: the single-simulator
+    world has no stepping workers to give them to.
     """
+    if jobs > 1 and not parallel:
+        raise ValueError(f"jobs={jobs} needs parallel=True")
     scenario = chaos_scenario(name)
     if plan is not None:
         scenario = ChaosScenario(

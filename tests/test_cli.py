@@ -92,6 +92,19 @@ class TestChaosCommand:
         assert main(["chaos", "--scenario", "outage", "--shards", "0"]) == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--parallel", "--shards", "1"], "--parallel requires --shards >= 2"),
+            (["--shards", "4", "--jobs", "4"], "--jobs requires --parallel"),
+            (["--jobs", "3"], "--jobs requires --parallel"),
+        ],
+        ids=["parallel-one-shard", "jobs-sharded-serial", "jobs-one-shard"],
+    )
+    def test_chaos_stepping_flags_rejected(self, capsys, flags, message):
+        assert main(["chaos", "--scenario", "outage", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_chaos_invalid_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--shard-strategy", "modulo"])

@@ -112,11 +112,17 @@ class TestSpecValidation:
             parse_spec(data)
 
     def test_unknown_axis_for_kind(self):
-        data = tiny_spec_data()
-        # shards is a chaos axis, not a t2a axis.
-        data["sweeps"][0]["axes"]["shards"] = [1, 2]
-        with pytest.raises(ExperimentSpecError, match="unknown axes"):
-            parse_spec(data)
+        # shards is a chaos axis, not a t2a axis; poll_dispatch is an
+        # axis of no kind (the heap scheduler is the only dispatcher).
+        for sweep, axis, values in (
+            (0, "shards", [1, 2]),
+            (0, "poll_dispatch", ["heap"]),
+            (1, "poll_dispatch", ["heap"]),
+        ):
+            data = tiny_spec_data()
+            data["sweeps"][sweep]["axes"][axis] = values
+            with pytest.raises(ExperimentSpecError, match="unknown axes"):
+                parse_spec(data)
 
     def test_axis_value_out_of_domain(self):
         data = tiny_spec_data()
@@ -193,13 +199,13 @@ class TestExpansion:
         spec = parse_spec(tiny_spec_data())
         chaos = [c for c in expand_cells(spec) if c.sweep.name == "chaos"]
         assert all(c.params["shards"] == 1 for c in chaos)
-        assert all(c.params["poll_dispatch"] == "heap" for c in chaos)
+        assert all(c.params["shard_strategy"] == "service_hash" for c in chaos)
 
     def test_committed_specs_parse(self):
         smoke = load_spec(SMOKE_SPEC)
         full = load_spec(FULL_SPEC)
         assert smoke.cell_count == 10
-        assert full.cell_count == 38
+        assert full.cell_count == 32
         # The full matrix must sweep the whole applet suite against a
         # fault plan alongside the Figure 4 baseline (the ISSUE-9 slice).
         t2a = [c for c in expand_cells(full) if c.sweep.kind == "t2a"]

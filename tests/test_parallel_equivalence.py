@@ -10,9 +10,8 @@ strongest form of the claim:
 (a) **Byte-identical merged snapshots** — for arbitrary seeds, corpus
     shapes, and publication schedules, ``jobs=1`` (serial round-robin
     stepping) and ``jobs=4`` (threaded stepping) produce byte-for-byte
-    identical merged fleet snapshots, across all shard strategies x
-    both poll-dispatch modes (hypothesis, end to end over
-    :class:`ShardedFleetWorld`).
+    identical merged fleet snapshots, across all shard strategies
+    (hypothesis, end to end over :class:`ShardedFleetWorld`).
 (b) **Identical fired-action accounting** — executed-action counts,
     polls sent, and total events fired match exactly, not just
     statistically.
@@ -40,7 +39,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     EngineConfig,
     FixedPollingPolicy,
-    POLL_DISPATCH_MODES,
     SHARD_STRATEGIES,
 )
 from repro.obs.metrics import deterministic_snapshot
@@ -50,22 +48,21 @@ from repro.testbed.workload import ShardedFleetWorld
 JOBS = 4
 
 
-def fleet_config(dispatch: str) -> EngineConfig:
+def fleet_config() -> EngineConfig:
     return EngineConfig(
         poll_policy=FixedPollingPolicy(20.0),
         initial_poll_delay=0.5,
         poll_timeout=10.0,
         action_timeout=10.0,
-        poll_dispatch=dispatch,
     )
 
 
-def run_fleet(jobs, *, strategy, dispatch, seed, n_applets, publications):
+def run_fleet(jobs, *, strategy, seed, n_applets, publications):
     world = ShardedFleetWorld(
         n_applets,
         num_shards=3,
         jobs=jobs,
-        engine_config=fleet_config(dispatch),
+        engine_config=fleet_config(),
         seed=seed,
         shard_strategy=strategy,
     )
@@ -85,21 +82,20 @@ def snapshot_bytes(snapshot) -> bytes:
 class TestFleetEquivalence:
     @given(
         strategy=st.sampled_from(sorted(SHARD_STRATEGIES)),
-        dispatch=st.sampled_from(sorted(POLL_DISPATCH_MODES)),
         seed=st.integers(min_value=0, max_value=2 ** 16),
         n_applets=st.integers(min_value=6, max_value=24),
         publications=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=6, deadline=None)
     def test_serial_and_threaded_stepping_are_byte_identical(
-        self, strategy, dispatch, seed, n_applets, publications
+        self, strategy, seed, n_applets, publications
     ):
         serial = run_fleet(
-            1, strategy=strategy, dispatch=dispatch, seed=seed,
+            1, strategy=strategy, seed=seed,
             n_applets=n_applets, publications=publications,
         )
         threaded = run_fleet(
-            JOBS, strategy=strategy, dispatch=dispatch, seed=seed,
+            JOBS, strategy=strategy, seed=seed,
             n_applets=n_applets, publications=publications,
         )
         assert serial.actions_executed == threaded.actions_executed
@@ -113,11 +109,11 @@ class TestFleetEquivalence:
     @pytest.mark.parametrize("strategy", sorted(SHARD_STRATEGIES))
     def test_every_strategy_pinned(self, strategy):
         serial = run_fleet(
-            1, strategy=strategy, dispatch="heap", seed=42,
+            1, strategy=strategy, seed=42,
             n_applets=12, publications=3,
         )
         threaded = run_fleet(
-            JOBS, strategy=strategy, dispatch="heap", seed=42,
+            JOBS, strategy=strategy, seed=42,
             n_applets=12, publications=3,
         )
         assert serial.actions_executed == threaded.actions_executed == 36
@@ -184,3 +180,9 @@ class TestChaosEquivalence:
                     - stats["actions_in_replay"]
                 )
                 assert lost == 0
+
+    def test_jobs_without_parallel_rejected(self):
+        # the single-simulator sharded world has no stepping workers:
+        # asking for several must fail loudly, not run serially
+        with pytest.raises(ValueError, match="parallel=True"):
+            run_sharded_chaos_scenario("outage", jobs=JOBS)

@@ -9,7 +9,7 @@ properties of :mod:`repro.engine.push`:
     action multiset (hypothesis, end to end over a sharded fleet).
 (b) **Conservation** — ``dispatched == delivered + in_retry +
     dead_lettered + in_replay`` per shard and merged, across all three
-    shard strategies x both poll-dispatch modes, in every mode.
+    shard strategies, in every mode.
 (c) **T2A stochastic ordering** — trigger-to-action latency quartiles
     order push <= hint <= poll: hints skip the polling wait but still
     cost a fetch round trip; pushes carry payloads and skip the poll
@@ -21,7 +21,6 @@ properties of :mod:`repro.engine.push`:
     drains below the low watermark.
 """
 
-from itertools import product
 from statistics import quantiles
 
 import pytest
@@ -42,7 +41,6 @@ from repro.engine import (
 from repro.engine.oauth import OAuthAuthority
 from repro.engine.push import DELIVERY_MODES, RUNG_HINT, RUNG_POLL, RUNG_PUSH
 from repro.engine.delivery import sampled_interval_quartiles
-from repro.engine.scheduler import POLL_DISPATCH_MODES
 from repro.net import Address, FixedLatency, Network
 from repro.obs.metrics import MetricsRegistry
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
@@ -68,7 +66,6 @@ def run_world(
     mode: str,
     *,
     strategy: str = "service_hash",
-    dispatch: str = "heap",
     seed: int = 11,
     num_shards: int = 3,
     n_services: int = 3,
@@ -102,7 +99,6 @@ def run_world(
         poll_policy=FixedPollingPolicy(poll_interval),
         num_shards=num_shards,
         shard_strategy=strategy,
-        poll_dispatch=dispatch,
         push_policy=(
             (push_policy or PushPolicy(safety_net_interval=poll_interval))
             if mode == "push" else None
@@ -224,25 +220,19 @@ class TestMultisetIdentity:
 
 
 class TestConservation:
-    """(b) conservation per shard and merged, 3 strategies x 2 dispatch."""
+    """(b) conservation per shard and merged, all 3 shard strategies."""
 
-    @pytest.mark.parametrize(
-        "strategy,dispatch",
-        list(product(sorted(SHARD_STRATEGIES), POLL_DISPATCH_MODES)),
-    )
+    @pytest.mark.parametrize("strategy", sorted(SHARD_STRATEGIES))
     @pytest.mark.parametrize("mode", DELIVERY_MODES)
-    def test_no_action_silently_lost(self, mode, strategy, dispatch):
-        run = run_world(mode, strategy=strategy, dispatch=dispatch, seed=2017)
+    def test_no_action_silently_lost(self, mode, strategy):
+        run = run_world(mode, strategy=strategy, seed=2017)
         assert_conserved(run["per_shard"])
         assert len(run["multiset"]) == run["expected_deliveries"]
 
-    @pytest.mark.parametrize(
-        "strategy,dispatch",
-        list(product(sorted(SHARD_STRATEGIES), POLL_DISPATCH_MODES)),
-    )
-    def test_multiset_identity_every_topology(self, strategy, dispatch):
+    @pytest.mark.parametrize("strategy", sorted(SHARD_STRATEGIES))
+    def test_multiset_identity_every_topology(self, strategy):
         runs = [
-            run_world(mode, strategy=strategy, dispatch=dispatch, seed=5)
+            run_world(mode, strategy=strategy, seed=5)
             for mode in DELIVERY_MODES
         ]
         assert runs[0]["multiset"] == runs[1]["multiset"] == runs[2]["multiset"]

@@ -1,30 +1,33 @@
-"""Heap-scheduler vs per-applet-timer dispatch equivalence (ISSUE 6).
+"""Poll-dispatch contract of the heap scheduler, pinned by golden hashes.
 
-The heap scheduler's whole contract is *observational equivalence*: for
-the same seed and corpus it must fire the same polls at the same
-simulation times in the same order as the seed's per-applet timers,
-consuming the engine RNG identically — so traces, T2A samples, and
-deterministic metric snapshots (filtered through
-:func:`~repro.obs.metrics.dispatch_invariant_snapshot`) are identical,
-and only wall-clock gauges plus the kernel event counters in
-:data:`~repro.obs.metrics.DISPATCH_SENSITIVE_METRICS` may differ.
+The heap scheduler fires the same polls at the same simulation times in
+the same order as the seed's per-applet timers did, consuming the engine
+RNG identically.  That timer baseline is retired.  Every golden constant
+below was captured with both dispatch paths still in the tree, after
+asserting heap == timers for that case (poll list, T2A samples, action
+count and dispatch-invariant snapshot), by recording the heap run's
+outputs: a digest of the poll list, a digest of the T2A samples, the
+action count, and the sha256 of the full
+:func:`~repro.obs.metrics.deterministic_snapshot`.
 
-This suite pins that contract with hypothesis over seeds and corpus
-shapes, end-to-end over the fleet workload, across all three shard
-strategies, plus the `sample_interval` bound-histogram cache regression
-(satellite: handle identity under shard namespacing).
+The suite covers the fleet workload over a fixed table of (seed,
+applets, publications) cases, a 3-shard fleet under every shard
+strategy, the heap scheduler's own semantics, plus the
+``sample_interval`` bound-histogram cache regression (handle identity
+under shard namespacing).
 """
 
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import (
     ActionRef,
     EngineConfig,
     FixedPollingPolicy,
+    HeapPollScheduler,
+    IftttEngine,
     ProductionPollingPolicy,
     SHARD_STRATEGIES,
     ShardedEngine,
@@ -33,38 +36,33 @@ from repro.engine import (
 from repro.engine.engine import _AppletRuntime
 from repro.engine.applet import Applet
 from repro.engine.oauth import OAuthAuthority
-from repro.engine.scheduler import (
-    HeapPollScheduler,
-    POLL_DISPATCH_MODES,
-    TimerPollScheduler,
-    make_poll_scheduler,
-)
 from repro.net import Address, FixedLatency, Network
-from repro.obs.metrics import (
-    DISPATCH_SENSITIVE_METRICS,
-    MetricsRegistry,
-    dispatch_invariant_snapshot,
-)
+from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
 from repro.services import ActionEndpoint, PartnerService, TriggerEndpoint
 from repro.simcore import Rng, Simulator
 from repro.testbed.workload import FleetWorld
 
 
-def snapshot_blob(metrics) -> bytes:
-    """Canonical bytes of the dispatch-invariant part of a registry."""
-    return json.dumps(dispatch_invariant_snapshot(metrics), sort_keys=True).encode()
+def digest(value) -> str:
+    """sha256 of a value's canonical JSON (tuples serialize as lists)."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def snapshot_sha256(metrics) -> str:
+    """sha256 of a registry's full deterministic snapshot."""
+    return digest(deterministic_snapshot(metrics))
 
 
 # -- scheduler-level harness ----------------------------------------------------
 
 
 class StubEngine:
-    """The minimal surface the schedulers need: sim, ``_poll``, ``_applets``."""
+    """The minimal surface the scheduler needs: sim, ``_poll``, ``_applets``."""
 
-    def __init__(self, mode: str):
+    def __init__(self):
         self.sim = Simulator()
         self._applets = {}
-        self._scheduler = make_poll_scheduler(self, mode)
+        self._scheduler = HeapPollScheduler(self)
         self.fired = []
 
     def add_runtime(self, applet_id: int) -> _AppletRuntime:
@@ -84,28 +82,17 @@ class StubEngine:
 
 
 class TestFactoryAndConfig:
-    def test_modes_registry(self):
-        assert POLL_DISPATCH_MODES == ("heap", "timers")
-
-    def test_factory_builds_each_mode(self):
-        assert isinstance(make_poll_scheduler(StubEngine("heap"), "heap"),
-                          HeapPollScheduler)
-        assert isinstance(make_poll_scheduler(StubEngine("heap"), "timers"),
-                          TimerPollScheduler)
-
-    def test_factory_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_poll_scheduler(StubEngine("heap"), "calendar")
-
     def test_config_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            EngineConfig(poll_dispatch="cron")
+        # no option selects another dispatcher: the knob is gone
+        with pytest.raises(TypeError):
+            EngineConfig(poll_dispatch="timers")
 
     def test_config_defaults_to_heap(self):
-        assert EngineConfig().poll_dispatch == "heap"
+        engine = IftttEngine(Address("engine.cloud"), config=EngineConfig())
+        assert isinstance(engine._scheduler, HeapPollScheduler)
 
     def test_negative_delay_rejected(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         with pytest.raises(ValueError):
             engine._scheduler.schedule(runtime, -1.0)
@@ -113,7 +100,7 @@ class TestFactoryAndConfig:
 
 class TestHeapSchedulerSemantics:
     def test_same_instant_polls_batch_under_one_wake(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtimes = [engine.add_runtime(i) for i in range(50)]
         for runtime in runtimes:
             engine._scheduler.schedule(runtime, 5.0)
@@ -124,17 +111,8 @@ class TestHeapSchedulerSemantics:
         # FIFO within the instant: scheduling order is firing order
         assert engine.fired == [(5.0, i) for i in range(50)]
 
-    def test_timer_mode_fires_identically(self):
-        heap_engine, timer_engine = StubEngine("heap"), StubEngine("timers")
-        for engine in (heap_engine, timer_engine):
-            for i in range(20):
-                runtime = engine.add_runtime(i)
-                engine._scheduler.schedule(runtime, 1.0 + (i % 7) * 0.5)
-            engine.sim.run()
-        assert heap_engine.fired == timer_engine.fired
-
     def test_reschedule_supersedes_earlier_entry(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         engine._scheduler.schedule(runtime, 8.0)
         engine._scheduler.schedule(runtime, 2.0)  # hint pulls the poll earlier
@@ -144,7 +122,7 @@ class TestHeapSchedulerSemantics:
         assert stats["stale_entries"] == 0  # stale entry consumed on pop
 
     def test_cancel_is_lazy_and_accounted(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         runtime = engine.add_runtime(1)
         engine._scheduler.schedule(runtime, 3.0)
         engine._scheduler.cancel(runtime)
@@ -155,7 +133,7 @@ class TestHeapSchedulerSemantics:
         assert engine._scheduler.stats()["stale_entries"] == 0
 
     def test_wake_pulled_earlier_by_nearer_poll(self):
-        engine = StubEngine("heap")
+        engine = StubEngine()
         late, early = engine.add_runtime(1), engine.add_runtime(2)
         engine._scheduler.schedule(late, 30.0)
         engine._scheduler.schedule(early, 1.0)
@@ -164,23 +142,15 @@ class TestHeapSchedulerSemantics:
         engine.sim.run()
         assert engine.fired == [(1.0, 2), (30.0, 1)]
 
-    def test_stats_shape_matches_across_modes(self):
-        keys = {"mode", "heap_entries", "live_entries", "stale_entries",
-                "compactions", "wakes", "batched_polls"}
-        for mode in POLL_DISPATCH_MODES:
-            engine = StubEngine(mode)
-            assert set(engine._scheduler.stats()) == keys
+
+# -- end-to-end fleet goldens ---------------------------------------------------
 
 
-# -- end-to-end fleet equivalence ----------------------------------------------
-
-
-def run_fleet(mode: str, n_applets: int, seed: int, publications: int):
+def run_fleet(n_applets: int, seed: int, publications: int):
     """One instrumented fleet run; returns every dispatch-visible output."""
     config = EngineConfig(
         poll_policy=ProductionPollingPolicy(median=60.0, minimum=20.0),
         initial_poll_jitter=40.0,
-        poll_dispatch=mode,
     )
     world = FleetWorld(n_applets, engine_config=config, seed=seed)
     result = world.run_publications(publications=publications, spacing=150.0)
@@ -192,92 +162,95 @@ def run_fleet(mode: str, n_applets: int, seed: int, publications: int):
         "polls": polls,
         "latencies": result.latencies,  # the §4 T2A samples
         "actions": result.actions_executed,
-        "snapshot": snapshot_blob(world.metrics),
-        "scheduler_mode": world.engine.poll_dispatch_stats()["mode"],
+        "snapshot_sha256": snapshot_sha256(world.metrics),
     }
 
 
+#: (seed, applets, publications, actions, polls, poll-list digest,
+#: T2A-samples digest, deterministic-snapshot sha256) — heap == timers
+#: held for every row when it was captured.
+FLEET_GOLDENS = [
+    (0, 3, 1, 3, 9,
+     "a07d623c01566a8d81c2e0fad51f930a668b084b92ffb1777b9aa6fb322b3f13",
+     "f4573f05cee7b3252c68ec52fdc1087939d7a0079ea3f1e4bcd9ecd631f06b87",
+     "0af9ddb99c9e58f375d65878b2e2bf910161b1f82dcbbc837fb9dfb36dab76f3"),
+    (31337, 3, 2, 6, 17,
+     "31985bc901efba65982ff2225b2070938db0ad5b1d64f43b181c68538a288f87",
+     "474fa4f5f620e886e1452e8a366b6e88ad84298d017d0b924dc38fa80da4ea62",
+     "27db18c2e0324d00ab175e9bc12678d2281a0ea4d0395b191a85930abde6e166"),
+    (271828, 25, 1, 24, 83,
+     "3325706c632d041f2276161418c7b4792d7a1ad4f2f78eeb7856b7e52eacc4b1",
+     "9f1b0014871ac5aebc7e4b317832b71d15d42eae3997349113312dcc9c46ac83",
+     "9fa4e1cf4593f3a059db97324cda1f4dcf7ed1f2f2744aebe9125a5e897a06e6"),
+    (999983, 25, 2, 49, 139,
+     "f7c3bd0fb9ca4524cecf5d728c6308f287adeeb12106399937058bb5d589f683",
+     "0eec1482e1df4aae2a0238ec4ad32937d1aa3e0b65e34a270fd553c29373ab4b",
+     "8e57cc7c76326266e9188a7bb59b42b16c54979d3ba6af77c8f8033b8e284868"),
+    (4242, 11, 2, 22, 65,
+     "738624c7078ba7a33651414a574b69252b1115562f94352bff1dea0420484553",
+     "6159c025db9c7516108ea9c9255de86d50e86d9720e5b63b7642d13170360e92",
+     "ec4aff9eaec973626c78a07b05cfe40207b6b5f230ae13111643b000b8e2680a"),
+]
+
+
 class TestFleetEquivalence:
-    @given(
-        seed=st.integers(min_value=0, max_value=10**6),
-        n_applets=st.integers(min_value=3, max_value=25),
-        publications=st.integers(min_value=1, max_value=2),
+    @pytest.mark.parametrize(
+        "seed,n_applets,publications,actions,n_polls,polls_sha,latencies_sha,"
+        "snapshot_sha",
+        FLEET_GOLDENS,
+        ids=[f"seed{row[0]}-{row[1]}applets-{row[2]}pubs" for row in FLEET_GOLDENS],
     )
-    @settings(max_examples=6, deadline=None)
-    def test_same_seed_same_world(self, seed, n_applets, publications):
-        heap = run_fleet("heap", n_applets, seed, publications)
-        timers = run_fleet("timers", n_applets, seed, publications)
-        assert heap["scheduler_mode"] == "heap"
-        assert timers["scheduler_mode"] == "timers"
-        # identical poll orderings, to the simulation instant
-        assert heap["polls"] == timers["polls"]
-        # identical T2A samples
-        assert heap["latencies"] == timers["latencies"]
-        assert heap["actions"] == timers["actions"]
+    def test_same_seed_same_world(
+        self, seed, n_applets, publications, actions, n_polls, polls_sha,
+        latencies_sha, snapshot_sha,
+    ):
+        run = run_fleet(n_applets, seed, publications)
+        # the golden poll ordering, to the simulation instant
+        assert len(run["polls"]) == n_polls
+        assert digest(run["polls"]) == polls_sha
+        # the golden T2A samples
+        assert digest(run["latencies"]) == latencies_sha
+        assert run["actions"] == actions
         # byte-identical deterministic snapshot
-        assert heap["snapshot"] == timers["snapshot"]
+        assert run["snapshot_sha256"] == snapshot_sha
 
     def test_larger_fleet_pinned_case(self):
-        heap = run_fleet("heap", 120, seed=2017, publications=2)
-        timers = run_fleet("timers", 120, seed=2017, publications=2)
-        assert heap["polls"] == timers["polls"]
-        assert len(heap["polls"]) > 200
-        assert heap["snapshot"] == timers["snapshot"]
-
-    def test_dispatch_sensitive_metrics_are_the_only_kernel_delta(self):
-        # the full (unfiltered) snapshots may differ ONLY on the
-        # documented kernel counters + wall-clock gauges
-        from repro.obs.metrics import WALLCLOCK_METRICS
-
-        results = {}
-        for mode in POLL_DISPATCH_MODES:
-            config = EngineConfig(
-                poll_policy=ProductionPollingPolicy(median=60.0, minimum=20.0),
-                initial_poll_jitter=40.0,
-                poll_dispatch=mode,
-            )
-            world = FleetWorld(40, engine_config=config, seed=9)
-            world.run_publications(publications=1, spacing=150.0)
-            results[mode] = world.metrics.snapshot()
-        excluded = WALLCLOCK_METRICS | DISPATCH_SENSITIVE_METRICS
-        differing = {
-            entry["name"]
-            for heap_entry, timer_entry in zip(
-                results["heap"]["metrics"], results["timers"]["metrics"]
-            )
-            for entry in (heap_entry,)
-            if heap_entry != timer_entry
-        }
-        assert differing <= excluded
-        # and the kernel counters DO differ (one wake fires many polls),
-        # proving the filter earns its keep
-        heap_names = {e["name"] for e in results["heap"]["metrics"]}
-        assert "sim.events_fired" in heap_names
+        run = run_fleet(120, seed=2017, publications=2)
+        assert len(run["polls"]) > 200
+        assert len(run["polls"]) == 658
+        assert digest(run["polls"]) == (
+            "401903b613fad40cb21e428a53a69d9dac9fac4833f3cb8c2f4656bc5441ae20"
+        )
+        assert digest(run["latencies"]) == (
+            "257a935b0cc5d6c9fcccb35bb095ed69b9cabfbbff84e72207847c1af882ba3a"
+        )
+        assert run["actions"] == 237
+        assert run["snapshot_sha256"] == (
+            "a2a9037cc30505a36764725aebad5b7d6d314d090e366001bd76c17416236053"
+        )
 
 
-# -- sharded equivalence --------------------------------------------------------
+# -- sharded goldens ------------------------------------------------------------
 
 
-def run_sharded(mode: str, strategy: str, seed: int = 11):
-    """A 3-shard fleet over 5 services with event traffic, both modes."""
+def run_sharded(strategy: str, seed: int = 11):
+    """A 3-shard fleet over 5 services with event traffic."""
     sim = Simulator()
     rng = Rng(seed=seed, name="equiv-shard")
     metrics = MetricsRegistry()
     sim.metrics = metrics
     net = Network(sim, rng.fork("network"), metrics=metrics)
-    # Jittered (continuous) poll times: cross-shard simultaneous polls
-    # would batch per shard under the heap scheduler and interleave
-    # globally under timers, which is an equally valid order but changes
-    # what shared order-sensitive sketches (net.* quantiles) observe.
-    # Continuous times make exact cross-shard ties measure-zero, so the
-    # two modes produce the same global order — the property under test.
+    # Jittered (continuous) poll times: simultaneous polls on different
+    # shards batch per shard, which would change what shared
+    # order-sensitive sketches (net.* quantiles) observe relative to
+    # one global poll order.  Continuous times make exact cross-shard
+    # ties measure-zero, so the pinned global order is well defined.
     config = EngineConfig(
         poll_policy=ProductionPollingPolicy(median=8.0, sigma=0.4, minimum=2.0),
         initial_poll_delay=0.5,
         initial_poll_jitter=3.0,
         num_shards=3,
         shard_strategy=strategy,
-        poll_dispatch=mode,
     )
     fleet = ShardedEngine(net, config=config, rng=rng.fork("engine"))
     delivered = []
@@ -315,25 +288,40 @@ def run_sharded(mode: str, strategy: str, seed: int = 11):
     ]
     return {
         "delivered": delivered,
-        "snapshot": snapshot_blob(metrics),
-        "modes": [shard.poll_dispatch_stats()["mode"] for shard in fleet.shards],
+        "snapshot_sha256": snapshot_sha256(metrics),
         "conservation": conservation,
     }
+
+
+#: strategy -> (delivered-actions digest, deterministic-snapshot sha256);
+#: the values heap and timers dispatch agreed on when captured.
+SHARDED_GOLDENS = {
+    "popularity_balanced": (
+        "dabda8fbeb2942c01f2ce216238a0c0a26420f2b065034a59f522aafd67bb0ab",
+        "e16ad53065d5249beea0040e761ce6e19096abcd8c68557d28ae71cef5391ee1",
+    ),
+    "round_robin": (
+        "dabda8fbeb2942c01f2ce216238a0c0a26420f2b065034a59f522aafd67bb0ab",
+        "e16ad53065d5249beea0040e761ce6e19096abcd8c68557d28ae71cef5391ee1",
+    ),
+    "service_hash": (
+        "606a57f9ac6829db510813ba61b59a21c783e14572531ee9cf2cfccdbaea72a4",
+        "872258621e3c506bf7a7266444218982f43e4c29def8003b6075732cb5df02d6",
+    ),
+}
 
 
 class TestShardedEquivalence:
     @pytest.mark.parametrize("strategy", SHARD_STRATEGIES)
     def test_modes_agree_under_every_strategy(self, strategy):
-        heap = run_sharded("heap", strategy)
-        timers = run_sharded("timers", strategy)
-        assert heap["modes"] == ["heap"] * 3
-        assert timers["modes"] == ["timers"] * 3
-        assert heap["delivered"] == timers["delivered"]
-        assert len(heap["delivered"]) == 8
-        # merged-snapshot algebra preserved: identical shard-scoped and
+        delivered_sha, snapshot_sha = SHARDED_GOLDENS[strategy]
+        run = run_sharded(strategy)
+        assert len(run["delivered"]) == 8
+        assert digest(run["delivered"]) == delivered_sha
+        # merged-snapshot algebra preserved: the golden shard-scoped and
         # merged engine.* series, byte for byte
-        assert heap["snapshot"] == timers["snapshot"]
-        assert all(heap["conservation"]) and all(timers["conservation"])
+        assert run["snapshot_sha256"] == snapshot_sha
+        assert all(run["conservation"])
 
 
 # -- sample_interval handle-cache regression (satellite) ------------------------
