@@ -36,7 +36,9 @@ Produces ``BENCH_fleet_scale.json`` with these sections:
     Frozen numbers that are no longer regenerated, carried over verbatim
     from the existing output file on every run: the heap-vs-timers
     dispatch comparison and snapshot gate from when the per-applet-timer
-    baseline still existed.
+    baseline still existed (``timers_dispatch``), and the ``fleet`` and
+    ``parallel`` sections from before idle applets stopped allocating
+    their dedupe and trigger-ring state (``eager_applet_state``).
 
 Usage::
 

@@ -83,9 +83,14 @@ class AppletState(enum.Enum):
     DISABLED = "disabled"
 
 
-@dataclass
+@dataclass(slots=True)
 class Applet:
     """One installed trigger-action rule.
+
+    Slotted (no per-instance ``__dict__``): a fleet holds one per
+    installed applet.  ``applet_id``, ``user`` and ``trigger`` are never
+    reassigned after construction, which is what lets
+    :attr:`trigger_identity` be computed once here.
 
     Attributes
     ----------
@@ -121,16 +126,18 @@ class Applet:
     #: only runs when it evaluates truthy over
     #: ``{"trigger": ingredients, "queries": {...}, "meta": {...}}``.
     filter_code: Optional[str] = None
+    #: The trigger identity the engine presents to the trigger service,
+    #: hashed once at construction: every poll sends this same string
+    #: object, and the service keys its identity record with it.
+    trigger_identity: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.trigger_identity = self.trigger.identity(self.applet_id, self.user)
 
     @property
     def enabled(self) -> bool:
         """Whether the engine should be polling this applet's trigger."""
         return self.state is AppletState.ENABLED
-
-    @property
-    def trigger_identity(self) -> str:
-        """The trigger identity the engine presents to the trigger service."""
-        return self.trigger.identity(self.applet_id, self.user)
 
     def describe(self) -> str:
         """One-line summary, e.g. ``wemo.activated -> sheets.add_row``."""

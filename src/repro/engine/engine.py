@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
 from repro.engine.filters import Expr, FilterEvalError, parse as parse_filter
@@ -83,6 +83,11 @@ class ServiceRegistration:
     push: bool = False
 
 
+#: ``_AppletRuntime.seen_ids`` of every applet that has not yet seen an
+#: event: one shared, immutable empty set.
+_NO_SEEN_IDS: AbstractSet[int] = frozenset()
+
+
 class _AppletRuntime:
     """Engine-internal per-applet execution state.
 
@@ -94,6 +99,15 @@ class _AppletRuntime:
     ``fast_poll_pending`` belongs to delivery admission control: it
     marks a hint-induced fast poll outstanding for this applet, so the
     per-service hint backlog stays exact under supersede/cancel.
+
+    The dedupe state is pay-as-you-go, since most applets of a fleet
+    never see an event: ``seen_ids`` starts as the shared empty
+    frozenset (so ``event_id in seen_ids`` works from the first poll)
+    and ``seen_order`` as ``None``.  :meth:`IftttEngine._remember_event`
+    allocates the real set and FIFO on the first remembered id.
+    ``policy`` may be shared with the other applets of the same trigger
+    service when the engine's poll policy learns nothing per applet
+    (see :attr:`~repro.engine.poller.PollingPolicy.learns`).
     """
 
     __slots__ = (
@@ -120,8 +134,8 @@ class _AppletRuntime:
         self.applet = applet
         self.policy = policy
         self.filter_expr = filter_expr
-        self.seen_ids: Set[int] = set()
-        self.seen_order: Deque[int] = deque()
+        self.seen_ids: AbstractSet[int] = _NO_SEEN_IDS
+        self.seen_order: Optional[Deque[int]] = None
         self.poll_in_flight = False
         self.polls = 0
         self.last_poll_at: Optional[float] = None
@@ -175,7 +189,13 @@ class IftttEngine(HttpNode):
         self._services: Dict[str, ServiceRegistration] = {}
         self._service_objects: Dict[str, PartnerService] = {}
         self._applets: Dict[int, _AppletRuntime] = {}
-        self._by_identity: Dict[str, List[int]] = {}
+        # trigger service slug -> the polling policy every applet of that
+        # service shares, when the poll policy learns nothing per applet.
+        self._shared_policies: Dict[str, PollingPolicy] = {}
+        # trigger identity -> installed applet ids; an immutable tuple
+        # (one small object per identity, and safe to iterate while an
+        # install or uninstall replaces it).
+        self._by_identity: Dict[str, Tuple[int, ...]] = {}
         # Shards carve out disjoint id ranges via applet_id_start, so a
         # fleet-wide applet id never collides across engines.
         # applet_id_limit caps how many ids this engine may allocate:
@@ -417,30 +437,40 @@ class IftttEngine(HttpNode):
             )
             if cycle is not None:
                 raise LoopError(f"applet would create a loop: {[a.describe() for a in cycle]}")
-        policy = self.config.poll_policy.clone()
-        if self.delivery is not None:
-            # Health-based adaptation wraps every applet's private policy
-            # clone around the *shared* per-service health tracker — one
-            # applet's failed poll slows every poll aimed at the service.
-            policy = self.delivery.wrap(policy, trigger.service_slug)
-        if self.push is not None and self._services[trigger.service_slug].push:
-            # Push contract: pushes deliver the events, so polling drops
-            # to the safety-net cadence — except on the ladder's poll
-            # rung, where the wrapped policy (and through it any
-            # adaptive layer) draws verbatim.
-            policy = self.push.wrap(policy, trigger.service_slug)
+        policy = self._shared_policies.get(trigger.service_slug)
+        if policy is None:
+            policy = self._new_applet_policy(trigger.service_slug)
+            if not self.config.poll_policy.learns:
+                self._shared_policies[trigger.service_slug] = policy
         runtime = _AppletRuntime(
             applet=applet,
             policy=policy,
             filter_expr=filter_expr,
         )
         self._applets[applet.applet_id] = runtime
-        self._by_identity.setdefault(applet.trigger_identity, []).append(applet.applet_id)
+        identity = applet.trigger_identity
+        self._by_identity[identity] = self._by_identity.get(identity, ()) + (applet.applet_id,)
         first_poll = self.config.initial_poll_delay
         if self.config.initial_poll_jitter > 0:
             first_poll += self.rng.uniform(0, self.config.initial_poll_jitter)
         self._scheduler.schedule(runtime, first_poll, initial=True)
         return applet
+
+    def _new_applet_policy(self, service_slug: str) -> PollingPolicy:
+        """A fresh clone of the poll policy, wrapped for ``service_slug``."""
+        policy = self.config.poll_policy.clone()
+        if self.delivery is not None:
+            # Health-based adaptation wraps the policy clone around the
+            # *shared* per-service health tracker — one applet's failed
+            # poll slows every poll aimed at the service.
+            policy = self.delivery.wrap(policy, service_slug)
+        if self.push is not None and self._services[service_slug].push:
+            # Push contract: pushes deliver the events, so polling drops
+            # to the safety-net cadence — except on the ladder's poll
+            # rung, where the wrapped policy (and through it any
+            # adaptive layer) draws verbatim.
+            policy = self.push.wrap(policy, service_slug)
+        return policy
 
     def applet(self, applet_id: int) -> Applet:
         """Look up an installed applet."""
@@ -497,10 +527,12 @@ class IftttEngine(HttpNode):
                 self.delivery.note_retry_dequeued(record.service_slug)
             self._dead_letter(record, "applet_removed")
         identity = runtime.applet.trigger_identity
-        owners = self._by_identity.get(identity, [])
-        if applet_id in owners:
-            owners.remove(applet_id)
-        if not owners:
+        owners = tuple(
+            owner for owner in self._by_identity.get(identity, ()) if owner != applet_id
+        )
+        if owners:
+            self._by_identity[identity] = owners
+        else:
             self._by_identity.pop(identity, None)
         return runtime.applet
 
@@ -733,7 +765,6 @@ class IftttEngine(HttpNode):
             )
             return
         registration = self._services[applet.trigger.service_slug]
-        token = self.tokens.lookup(applet.user, applet.trigger.service_slug)
         runtime.poll_in_flight = True
         runtime.polls += 1
         runtime.last_poll_at = self.now
@@ -871,11 +902,16 @@ class IftttEngine(HttpNode):
         )
 
     def _remember_event(self, runtime: _AppletRuntime, event_id: int) -> None:
-        runtime.seen_ids.add(event_id)
-        runtime.seen_order.append(event_id)
-        while len(runtime.seen_order) > self.config.dedupe_window:
-            oldest = runtime.seen_order.popleft()
-            runtime.seen_ids.discard(oldest)
+        seen_order = runtime.seen_order
+        if seen_order is None:
+            # First event for this applet: allocate its dedupe state.
+            runtime.seen_ids = set()
+            seen_order = runtime.seen_order = deque()
+        seen_ids = runtime.seen_ids
+        seen_ids.add(event_id)
+        seen_order.append(event_id)
+        while len(seen_order) > self.config.dedupe_window:
+            seen_ids.discard(seen_order.popleft())
 
     # -- event processing: queries -> condition -> actions ----------------------------------
 

@@ -35,6 +35,13 @@ class PollingPolicy(ABC):
     _bound_sig = None
     _bound_hist = None
 
+    #: Whether the policy learns per applet (``observe_events`` feedback,
+    #: counters, any state a draw changes).  The engine gives a learning
+    #: policy one clone per applet; a policy that learns nothing is
+    #: cloned once per (engine, trigger service) and shared by that
+    #: service's applets.  Subclasses default to learning, the safe side.
+    learns = True
+
     @abstractmethod
     def next_interval(self, rng: Rng) -> float:
         """Seconds until the next poll."""
@@ -80,7 +87,8 @@ class PollingPolicy(ABC):
         """Feedback hook: how many new events the last poll returned."""
 
     def clone(self) -> "PollingPolicy":
-        """A fresh copy — each applet (and each engine shard) gets its own.
+        """A fresh copy — each engine shard, and each applet of a learning
+        policy (:attr:`learns`), gets its own.
 
         The base implementation shallow-copies the instance.  Returning
         ``self`` here would silently share mutable policy state (EWMA
@@ -100,6 +108,8 @@ class ProductionPollingPolicy(PollingPolicy):
     poll-bound applets matches the paper's quartiles (58/84/122 s) and
     tail (~15 min); see ``tests/test_calibration.py``.
     """
+
+    learns = False
 
     def __init__(
         self,
@@ -143,6 +153,8 @@ class ProductionPollingPolicy(PollingPolicy):
 
 class FixedPollingPolicy(PollingPolicy):
     """Poll at a fixed interval — E3's 1 s frequent-polling engine."""
+
+    learns = False
 
     def __init__(self, interval: float = 1.0) -> None:
         if interval <= 0:

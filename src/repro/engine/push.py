@@ -487,7 +487,7 @@ class PushController:
         engine = self.engine
         event_id = wire["meta"]["id"]
         delivered = 0
-        for applet_id in tuple(engine._by_identity.get(identity, ())):
+        for applet_id in engine._by_identity.get(identity, ()):
             runtime = engine._applets.get(applet_id)
             if runtime is None or not runtime.applet.enabled:
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List
+from typing import Any, Deque, Dict, List, Tuple, Union
 
 _event_ids = itertools.count(1)
 
@@ -55,33 +55,47 @@ class TriggerEvent:
 
 
 class TriggerBuffer:
-    """A bounded ring of trigger events for one trigger identity."""
+    """A bounded ring of trigger events for one trigger identity.
+
+    Pay-as-you-go: most identities of a fleet never see an event, so the
+    ring itself is not allocated until the first :meth:`append`.  Until
+    then ``_events`` is the shared empty tuple, and :meth:`fetch`,
+    ``len``, :meth:`latest` and ``repr`` answer exactly as they would
+    for an empty ring.  ``__slots__`` keeps the idle buffer to one small
+    object.
+    """
+
+    __slots__ = ("capacity", "_events", "total_appended", "dropped")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._events: Deque[TriggerEvent] = deque(maxlen=capacity)
+        self._events: Union[Deque[TriggerEvent], Tuple[()]] = ()
         self.total_appended = 0
         self.dropped = 0
 
     def append(self, event: TriggerEvent) -> None:
         """Buffer one event; the oldest is dropped when full."""
-        if len(self._events) == self.capacity:
+        events = self._events
+        if not events:
+            # First event: allocate the ring (it never empties again).
+            events = self._events = deque(maxlen=self.capacity)
+        elif len(events) == self.capacity:
             self.dropped += 1
-        self._events.append(event)
+        events.append(event)
         self.total_appended += 1
 
     def fetch(self, limit: int = 50) -> List[TriggerEvent]:
         """Up to ``limit`` most recent events, newest first (poll semantics).
 
         Fetching does not consume: IFTTT polls are idempotent reads and the
-        engine deduplicates by ``meta.id``.
+        engine deduplicates by ``meta.id``.  Reads only the ``limit``
+        newest events, not the whole ring.
         """
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
-        newest_first = list(self._events)[::-1]
-        return newest_first[:limit]
+        return list(itertools.islice(reversed(self._events), limit))
 
     def __len__(self) -> int:
         return len(self._events)

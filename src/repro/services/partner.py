@@ -17,7 +17,8 @@ Implements the service side of the IFTTT web-based protocol observed in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.net.address import Address
 from repro.net.http import HttpError, HttpNode, HttpRequest
@@ -78,6 +79,30 @@ class AuthError(RuntimeError):
     """Service-side authentication failure."""
 
 
+#: The trigger fields of every identity registered without any: one
+#: shared read-only mapping instead of an empty dict per identity.
+_NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
+
+
+class _IdentityRecord(TriggerBuffer):
+    """One registered trigger identity: its trigger slug, its trigger
+    fields, and (being the buffer itself) its event ring.
+
+    One slotted object per identity; the trigger slug is the endpoint's
+    own string and empty fields are :data:`_NO_FIELDS`, so an identity
+    that never sees an event owns nothing else.
+    """
+
+    __slots__ = ("trigger_slug", "fields")
+
+    def __init__(
+        self, trigger_slug: str, fields: Mapping[str, Any], capacity: int
+    ) -> None:
+        super().__init__(capacity)
+        self.trigger_slug = trigger_slug
+        self.fields = fields
+
+
 class PartnerService(HttpNode):
     """A partner service: trigger/action endpoints behind IFTTT auth.
 
@@ -131,8 +156,8 @@ class PartnerService(HttpNode):
         self._triggers: Dict[str, TriggerEndpoint] = {}
         self._actions: Dict[str, ActionEndpoint] = {}
         self._queries: Dict[str, QueryEndpoint] = {}
-        #: trigger identity -> (trigger slug, fields, buffer)
-        self._identities: Dict[str, Tuple[str, Dict[str, Any], TriggerBuffer]] = {}
+        #: trigger identity -> its record (trigger slug, fields, buffer)
+        self._identities: Dict[str, _IdentityRecord] = {}
         self._valid_tokens: Set[str] = set()
         self.polls_served = 0
         self.actions_executed = 0
@@ -241,12 +266,17 @@ class PartnerService(HttpNode):
 
         The engine's first poll for a new applet registers the identity;
         events arriving before registration are not retroactively visible,
-        matching the protocol.
+        matching the protocol.  The record is keyed by ``identity`` itself,
+        so an engine that presents the same string object on every poll
+        leaves one copy of it fleet-wide.
         """
-        if trigger_slug not in self._triggers:
+        endpoint = self._triggers.get(trigger_slug)
+        if endpoint is None:
             raise KeyError(f"service {self.slug} has no trigger {trigger_slug!r}")
         if identity not in self._identities:
-            self._identities[identity] = (trigger_slug, dict(fields), TriggerBuffer(self.buffer_capacity))
+            self._identities[identity] = _IdentityRecord(
+                endpoint.slug, dict(fields) if fields else _NO_FIELDS, self.buffer_capacity
+            )
 
     @property
     def known_identities(self) -> List[str]:
@@ -255,7 +285,7 @@ class PartnerService(HttpNode):
 
     def buffer_for(self, identity: str) -> TriggerBuffer:
         """The event buffer of a registered identity."""
-        return self._identities[identity][2]
+        return self._identities[identity]
 
     # -- event ingestion -----------------------------------------------------------
 
@@ -279,13 +309,13 @@ class PartnerService(HttpNode):
             ).inc()
         affected: List[str] = []
         pushed: List[Tuple[str, TriggerEvent]] = []
-        for identity, (slug, fields, buffer) in self._identities.items():
-            if slug != trigger_slug:
+        for identity, record in self._identities.items():
+            if record.trigger_slug != trigger_slug:
                 continue
-            if not endpoint.matcher(event, fields):
+            if not endpoint.matcher(event, record.fields):
                 continue
             fresh = TriggerEvent.create(self.now, **endpoint.ingredients(event))
-            buffer.append(fresh)
+            record.append(fresh)
             affected.append(identity)
             if self.push_contract:
                 pushed.append((identity, fresh))
