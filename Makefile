@@ -175,10 +175,11 @@ lint:
 		python tools/lint.py; \
 	fi
 
-# What CI runs on every push/PR: lint, the tier-1 fast suite, the chaos
-# determinism gate, the experiment smoke gate and the benchmark's
-# prediction tests — no multi-minute bench regeneration.
-ci: lint test-fast chaos-check experiments-smoke perfbench-predictions
+# What CI runs on every push/PR: lint, the tier-1 fast suite, all seven
+# pinned gate snapshots (chaos, replay, degrade, push, parallel; ~40 s
+# together), the experiment smoke gate and the benchmark's prediction
+# tests — no multi-minute bench regeneration.
+ci: lint test-fast chaos-check replay-check degrade-check push-check parallel-check experiments-smoke perfbench-predictions
 
 clean:
 	rm -rf figures/ .pytest_cache/ src/repro.egg-info/ .chaos-a.jsonl .chaos-b.jsonl .replay-a.jsonl .replay-b.jsonl .degrade-a.jsonl .degrade-b.jsonl .push-a.jsonl .push-b.jsonl .par-a.jsonl .par-b.jsonl .exp-smoke-a .exp-smoke-b experiment-results/

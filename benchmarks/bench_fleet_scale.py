@@ -38,7 +38,9 @@ Produces ``BENCH_fleet_scale.json`` with these sections:
     dispatch comparison and snapshot gate from when the per-applet-timer
     baseline still existed (``timers_dispatch``), and the ``fleet`` and
     ``parallel`` sections from before idle applets stopped allocating
-    their dedupe and trigger-ring state (``eager_applet_state``).
+    their dedupe and trigger-ring state (``eager_applet_state``) and
+    from before per-applet runtime objects became columns indexed by
+    applet slot (``applet_runtime_objects``).
 
 Usage::
 

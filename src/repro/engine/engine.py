@@ -17,9 +17,10 @@ Implements the online applet-execution phase exactly as §2.2 profiles it:
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.engine.applet import Applet, ActionRef, AppletState, QueryRef, TriggerRef
 from repro.engine.filters import Expr, FilterEvalError, parse as parse_filter
@@ -83,71 +84,6 @@ class ServiceRegistration:
     push: bool = False
 
 
-#: ``_AppletRuntime.seen_ids`` of every applet that has not yet seen an
-#: event: one shared, immutable empty set.
-_NO_SEEN_IDS: AbstractSet[int] = frozenset()
-
-
-class _AppletRuntime:
-    """Engine-internal per-applet execution state.
-
-    ``__slots__``-backed: at the 1M-applet fleet sizes the benchmarks
-    drive, per-instance ``__dict__``s would cost hundreds of megabytes
-    and defeat CPU caches on the poll hot path (see
-    ``docs/PERFORMANCE.md``).  ``poll_gen``/``poll_scheduled`` belong to
-    the heap poll scheduler's lazy-cancellation protocol.
-    ``fast_poll_pending`` belongs to delivery admission control: it
-    marks a hint-induced fast poll outstanding for this applet, so the
-    per-service hint backlog stays exact under supersede/cancel.
-
-    The dedupe state is pay-as-you-go, since most applets of a fleet
-    never see an event: ``seen_ids`` starts as the shared empty
-    frozenset (so ``event_id in seen_ids`` works from the first poll)
-    and ``seen_order`` as ``None``.  :meth:`IftttEngine._remember_event`
-    allocates the real set and FIFO on the first remembered id.
-    ``policy`` may be shared with the other applets of the same trigger
-    service when the engine's poll policy learns nothing per applet
-    (see :attr:`~repro.engine.poller.PollingPolicy.learns`).
-    """
-
-    __slots__ = (
-        "applet",
-        "policy",
-        "filter_expr",
-        "seen_ids",
-        "seen_order",
-        "poll_in_flight",
-        "polls",
-        "last_poll_at",
-        "poll_attempts",
-        "poll_gen",
-        "poll_scheduled",
-        "fast_poll_pending",
-    )
-
-    def __init__(
-        self,
-        applet: Applet,
-        policy: PollingPolicy,
-        filter_expr: Optional[Expr] = None,
-    ) -> None:
-        self.applet = applet
-        self.policy = policy
-        self.filter_expr = filter_expr
-        self.seen_ids: AbstractSet[int] = _NO_SEEN_IDS
-        self.seen_order: Optional[Deque[int]] = None
-        self.poll_in_flight = False
-        self.polls = 0
-        self.last_poll_at: Optional[float] = None
-        # consecutive failed attempts in the current retry burst
-        self.poll_attempts = 0
-        # heap-scheduler lazy cancellation: entries carry the generation
-        # they were pushed with; a bump invalidates them in place.
-        self.poll_gen = 0
-        self.poll_scheduled = False
-        self.fast_poll_pending = False
-
-
 class IftttEngine(HttpNode):
     """The trigger-action engine (a cloud HTTP node).
 
@@ -188,13 +124,40 @@ class IftttEngine(HttpNode):
         self.permissions = ServicePermissionModel()
         self._services: Dict[str, ServiceRegistration] = {}
         self._service_objects: Dict[str, PartnerService] = {}
-        self._applets: Dict[int, _AppletRuntime] = {}
+        # Per-applet execution state, as columns indexed by the applet's
+        # slot, ``applet_id - applet_id_start`` (ids are dense per
+        # engine, so a slot is a list/array index).  There is no
+        # per-applet runtime object: at the 1M-applet fleet sizes the
+        # benchmarks drive, a few bytes per column beat a slotted object
+        # plus its dict entry (see docs/PERFORMANCE.md, "Per-applet
+        # memory").  The scheduler keeps the slot's poll-heap state.
+        #
+        # slot -> the installed Applet; None after uninstall (or for an
+        # id burnt by an install the static loop check refused)
+        self._slot_applets: List[Optional[Applet]] = []
+        # slot -> polling policy; one object is shared by the applets of
+        # a trigger service when the policy learns nothing per applet
+        # (see PollingPolicy.learns)
+        self._policies: List[Optional[PollingPolicy]] = []
+        self._polls = array("I")  # polls attempted (sent or shed)
+        self._poll_attempts = array("I")  # failures in the current retry burst
+        self._in_flight = bytearray()  # a poll request awaits its response
+        # a hint-induced fast poll is outstanding (delivery admission
+        # control keeps the per-service hint backlog exact with it)
+        self._fast_pending = bytearray()
+        # Sparse, because most applets have neither: compiled filter
+        # code, and the dedupe window (a set plus its FIFO), allocated
+        # on the first remembered event id by _remember_event.
+        self._filters: Dict[int, Expr] = {}
+        self._seen_ids: Dict[int, Set[int]] = {}
+        self._seen_order: Dict[int, Deque[int]] = {}
         # trigger service slug -> the polling policy every applet of that
         # service shares, when the poll policy learns nothing per applet.
         self._shared_policies: Dict[str, PollingPolicy] = {}
         # trigger identity -> installed applet ids; an immutable tuple
         # (one small object per identity, and safe to iterate while an
-        # install or uninstall replaces it).
+        # install or uninstall replaces it).  Ids, not slots: the id int
+        # is the Applet's own object, a slot would be one more.
         self._by_identity: Dict[str, Tuple[int, ...]] = {}
         # Shards carve out disjoint id ranges via applet_id_start, so a
         # fleet-wide applet id never collides across engines.
@@ -202,7 +165,6 @@ class IftttEngine(HttpNode):
         # exceeding it would bleed into the next shard's range and make
         # ShardedEngine.engine_for() misroute lifecycle calls, so the
         # overflow fails loudly instead (AppletIdRangeError).
-        self._applet_ids = itertools.count(applet_id_start)
         self._applet_id_start = applet_id_start
         self._applet_id_limit = applet_id_limit
         self._key_counter = itertools.count(1)
@@ -406,11 +368,9 @@ class IftttEngine(HttpNode):
             if slug not in self._services:
                 raise KeyError(f"service {slug!r} is not published")
         filter_expr = parse_filter(filter_code) if filter_code is not None else None
-        applet_id = next(self._applet_ids)
-        if (
-            self._applet_id_limit is not None
-            and applet_id >= self._applet_id_start + self._applet_id_limit
-        ):
+        slot = len(self._slot_applets)
+        applet_id = self._applet_id_start + slot
+        if self._applet_id_limit is not None and slot >= self._applet_id_limit:
             raise AppletIdRangeError(
                 f"engine {self.address} exhausted its applet-id range "
                 f"[{self._applet_id_start}, "
@@ -419,6 +379,9 @@ class IftttEngine(HttpNode):
                 "range; raise the shard stride (ShardedEngine expected_applets "
                 "/ applet_id_stride) or add shards"
             )
+        # The id is taken from here on, even if the loop check refuses
+        # the applet: its slot then stays empty.
+        self._add_slot()
         applet = Applet(
             applet_id=applet_id,
             name=name,
@@ -433,7 +396,7 @@ class IftttEngine(HttpNode):
         if self.config.static_loop_check:
             analyzer = StaticLoopAnalyzer(self._service_objects)
             cycle = analyzer.cycle_introduced_by(
-                [rt.applet for rt in self._applets.values() if rt.applet.user == user], applet
+                [other for other in self.applets if other.user == user], applet
             )
             if cycle is not None:
                 raise LoopError(f"applet would create a loop: {[a.describe() for a in cycle]}")
@@ -442,19 +405,27 @@ class IftttEngine(HttpNode):
             policy = self._new_applet_policy(trigger.service_slug)
             if not self.config.poll_policy.learns:
                 self._shared_policies[trigger.service_slug] = policy
-        runtime = _AppletRuntime(
-            applet=applet,
-            policy=policy,
-            filter_expr=filter_expr,
-        )
-        self._applets[applet.applet_id] = runtime
+        self._slot_applets[slot] = applet
+        self._policies[slot] = policy
+        if filter_expr is not None:
+            self._filters[slot] = filter_expr
         identity = applet.trigger_identity
-        self._by_identity[identity] = self._by_identity.get(identity, ()) + (applet.applet_id,)
+        self._by_identity[identity] = self._by_identity.get(identity, ()) + (applet_id,)
         first_poll = self.config.initial_poll_delay
         if self.config.initial_poll_jitter > 0:
             first_poll += self.rng.uniform(0, self.config.initial_poll_jitter)
-        self._scheduler.schedule(runtime, first_poll, initial=True)
+        self._scheduler.schedule(slot, first_poll)
         return applet
+
+    def _add_slot(self) -> None:
+        """Append one empty slot to every per-applet column."""
+        self._slot_applets.append(None)
+        self._policies.append(None)
+        self._polls.append(0)
+        self._poll_attempts.append(0)
+        self._in_flight.append(0)
+        self._fast_pending.append(0)
+        self._scheduler.add_slot()
 
     def _new_applet_policy(self, service_slug: str) -> PollingPolicy:
         """A fresh clone of the poll policy, wrapped for ``service_slug``."""
@@ -472,29 +443,46 @@ class IftttEngine(HttpNode):
             policy = self.push.wrap(policy, service_slug)
         return policy
 
+    def has_applet(self, applet_id: int) -> bool:
+        """Whether ``applet_id`` is installed on this engine."""
+        slot = applet_id - self._applet_id_start
+        return 0 <= slot < len(self._slot_applets) and self._slot_applets[slot] is not None
+
+    def _slot_of(self, applet_id: int) -> int:
+        """The column slot of an installed applet (``KeyError`` if none)."""
+        if not self.has_applet(applet_id):
+            raise KeyError(applet_id)
+        return applet_id - self._applet_id_start
+
     def applet(self, applet_id: int) -> Applet:
         """Look up an installed applet."""
-        return self._applets[applet_id].applet
+        return self._slot_applets[self._slot_of(applet_id)]
+
+    def policy_of(self, applet_id: int) -> PollingPolicy:
+        """The polling policy an installed applet's polls are paced by."""
+        return self._policies[self._slot_of(applet_id)]
 
     @property
     def applets(self) -> List[Applet]:
-        """All installed applets."""
-        return [rt.applet for rt in self._applets.values()]
+        """All installed applets, in install order."""
+        return [applet for applet in self._slot_applets if applet is not None]
 
     def disable_applet(self, applet_id: int) -> None:
         """Stop polling for an applet (its scheduled poll is canceled)."""
-        runtime = self._applets[applet_id]
-        runtime.applet.state = AppletState.DISABLED
-        self._scheduler.cancel(runtime)
-        self._clear_fast_poll(runtime)
+        slot = self._slot_of(applet_id)
+        applet = self._slot_applets[slot]
+        applet.state = AppletState.DISABLED
+        self._scheduler.cancel(slot)
+        self._clear_fast_poll(slot, applet)
 
     def enable_applet(self, applet_id: int) -> None:
         """Re-enable a disabled applet and resume polling."""
-        runtime = self._applets[applet_id]
-        if runtime.applet.enabled:
+        slot = self._slot_of(applet_id)
+        applet = self._slot_applets[slot]
+        if applet.enabled:
             return
-        runtime.applet.state = AppletState.ENABLED
-        self._schedule_next_poll(runtime, self.config.initial_poll_delay)
+        applet.state = AppletState.ENABLED
+        self._schedule_next_poll(slot, self.config.initial_poll_delay)
 
     def uninstall_applet(self, applet_id: int) -> Applet:
         """Remove an applet entirely: cancel polling, drop runtime state.
@@ -508,13 +496,17 @@ class IftttEngine(HttpNode):
         applet and corrupt ``actions_in_retry``.  The parked records are
         dead-lettered with reason ``applet_removed`` (not dropped), so
         the conservation invariant survives the removal.
+
+        A poll already in flight still completes (its new events run,
+        deduped and filtered as before); the slot's policy, filter and
+        dedupe state are released when that response arrives.
         """
-        runtime = self._applets.pop(applet_id, None)
-        if runtime is None:
-            raise KeyError(f"no applet {applet_id}")
-        runtime.applet.state = AppletState.DISABLED
-        self._scheduler.cancel(runtime)
-        self._clear_fast_poll(runtime)
+        slot = self._slot_of(applet_id)
+        applet = self._slot_applets[slot]
+        self._slot_applets[slot] = None
+        applet.state = AppletState.DISABLED
+        self._scheduler.cancel(slot)
+        self._clear_fast_poll(slot, applet)
         for seq in [
             seq
             for seq, (record, _) in self._retry_timers.items()
@@ -526,7 +518,7 @@ class IftttEngine(HttpNode):
             if self.delivery is not None:
                 self.delivery.note_retry_dequeued(record.service_slug)
             self._dead_letter(record, "applet_removed")
-        identity = runtime.applet.trigger_identity
+        identity = applet.trigger_identity
         owners = tuple(
             owner for owner in self._by_identity.get(identity, ()) if owner != applet_id
         )
@@ -534,11 +526,20 @@ class IftttEngine(HttpNode):
             self._by_identity[identity] = owners
         else:
             self._by_identity.pop(identity, None)
-        return runtime.applet
+        if not self._in_flight[slot]:
+            self._release_slot(slot)
+        return applet
+
+    def _release_slot(self, slot: int) -> None:
+        """Drop the object state an uninstalled applet's slot still holds."""
+        self._policies[slot] = None
+        self._filters.pop(slot, None)
+        self._seen_ids.pop(slot, None)
+        self._seen_order.pop(slot, None)
 
     def poll_count(self, applet_id: int) -> int:
         """How many polls the engine has sent for an applet."""
-        return self._applets[applet_id].polls
+        return self._polls[self._slot_of(applet_id)]
 
     def poll_dispatch_stats(self) -> Dict[str, Any]:
         """The poll scheduler's occupancy/lifecycle snapshot.
@@ -551,10 +552,11 @@ class IftttEngine(HttpNode):
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the engine's counters (for CLIs and dashboards)."""
+        applets = self.applets
         return {
             "services": len(self._services),
-            "applets": len(self._applets),
-            "applets_enabled": sum(1 for rt in self._applets.values() if rt.applet.enabled),
+            "applets": len(applets),
+            "applets_enabled": sum(1 for applet in applets if applet.enabled),
             "polls_sent": self.polls_sent,
             "poll_failures": self.poll_failures,
             "actions_dispatched": self.actions_dispatched,
@@ -721,20 +723,20 @@ class IftttEngine(HttpNode):
         self._m_t2a = {}
         self._m_action_rtt = None
 
-    def _schedule_next_poll(self, runtime: _AppletRuntime, delay: float) -> None:
-        if not runtime.applet.enabled:
+    def _schedule_next_poll(self, slot: int, delay: float) -> None:
+        if not self._slot_applets[slot].enabled:
             return
-        self._scheduler.schedule(runtime, delay)
+        self._scheduler.schedule(slot, delay)
 
-    def _poll(self, runtime: _AppletRuntime) -> None:
-        applet = runtime.applet
-        if runtime.fast_poll_pending:
+    def _poll(self, slot: int) -> None:
+        applet = self._slot_applets[slot]
+        if self._fast_pending[slot]:
             # The hint-induced fast poll is firing (or no-oping): its
             # backlog slot frees either way.
-            runtime.fast_poll_pending = False
+            self._fast_pending[slot] = 0
             if self.delivery is not None:
                 self.delivery.note_fast_poll_done(applet.trigger.service_slug)
-        if not applet.enabled or runtime.poll_in_flight:
+        if not applet.enabled or self._in_flight[slot]:
             return
         breaker = self.breaker_for(applet.trigger.service_slug)
         if breaker is not None and not breaker.allow(self.now):
@@ -743,7 +745,7 @@ class IftttEngine(HttpNode):
             # tally (the engine *tried*), but no request leaves the node;
             # the regular cadence resumes and allow() will half-open the
             # breaker once the recovery timeout passes.
-            runtime.polls += 1
+            self._polls[slot] += 1
             self.polls_shed += 1
             if self.metrics is not None:
                 self.metrics.counter(
@@ -758,16 +760,15 @@ class IftttEngine(HttpNode):
                     service=applet.trigger.service_slug,
                 )
             self._schedule_next_poll(
-                runtime,
-                runtime.policy.sample_interval(
+                slot,
+                self._policies[slot].sample_interval(
                     self.rng, None, service=applet.trigger.service_slug
                 ),
             )
             return
         registration = self._services[applet.trigger.service_slug]
-        runtime.poll_in_flight = True
-        runtime.polls += 1
-        runtime.last_poll_at = self.now
+        self._in_flight[slot] = 1
+        self._polls[slot] += 1
         self.polls_sent += 1
         metrics = self.metrics
         if metrics is not None:
@@ -799,7 +800,9 @@ class IftttEngine(HttpNode):
                 "request_id": f"req-{self.rng.randint(10**8, 10**9 - 1)}",
             },
             headers=self._auth_headers(registration, applet.user),
-            on_response=lambda response, rt=runtime: self._on_poll_response(rt, response),
+            on_response=lambda response, applet=applet: self._on_poll_response(
+                applet, response
+            ),
             timeout=self.config.poll_timeout,
         )
 
@@ -810,9 +813,11 @@ class IftttEngine(HttpNode):
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _on_poll_response(self, runtime: _AppletRuntime, response: HttpResponse) -> None:
-        runtime.poll_in_flight = False
-        applet = runtime.applet
+    def _on_poll_response(self, applet: Applet, response: HttpResponse) -> None:
+        # The applet, not its slot's current entry: an applet uninstalled
+        # while this poll was in flight still finishes it.
+        slot = applet.applet_id - self._applet_id_start
+        self._in_flight[slot] = 0
         metrics = self.metrics
         breaker = self.breaker_for(applet.trigger.service_slug)
         new_events: List[Dict[str, Any]] = []
@@ -821,14 +826,15 @@ class IftttEngine(HttpNode):
                 breaker.record_success(self.now)
             if self.delivery is not None:
                 self.delivery.note_result(applet.trigger.service_slug, ok=True)
-            runtime.poll_attempts = 0
+            self._poll_attempts[slot] = 0
             wire_events = (response.body or {}).get("data", [])
+            seen_ids = self._seen_ids
             # The wire carries newest-first; process in chronological order.
             for wire in reversed(wire_events):
                 event_id = wire["meta"]["id"]
-                if event_id in runtime.seen_ids:
+                if event_id in seen_ids.get(slot, ()):
                     continue
-                self._remember_event(runtime, event_id)
+                self._remember_event(slot, event_id)
                 new_events.append(wire)
         else:
             self.poll_failures += 1
@@ -861,15 +867,17 @@ class IftttEngine(HttpNode):
                 returned=len((response.body or {}).get("data", [])) if response.ok else 0,
                 new=len(new_events),
             )
-        runtime.policy.observe_events(len(new_events))
+        policy = self._policies[slot]
+        policy.observe_events(len(new_events))
         for wire in new_events:
-            self._process_event(runtime, wire)
+            self._process_event(applet, wire)
+        delay = None
         if not response.ok:
-            runtime.poll_attempts += 1
+            self._poll_attempts[slot] += 1
             retry = self.config.retry_policy
             if (
                 retry is not None
-                and not retry.exhausted(runtime.poll_attempts)
+                and not retry.exhausted(self._poll_attempts[slot])
                 and (breaker is None or breaker.state is not BreakerState.OPEN)
             ):
                 # Retry the failed poll on capped exponential backoff —
@@ -880,7 +888,7 @@ class IftttEngine(HttpNode):
                     metrics.counter(
                         f"{self._ns}.poll_retries", service=applet.trigger.service_slug
                     ).inc()
-                delay = retry.backoff(runtime.poll_attempts, self.rng)
+                delay = retry.backoff(self._poll_attempts[slot], self.rng)
                 if self.delivery is not None:
                     # Stretch the retry burst by the same health factor
                     # regular polls get — this is what turns a brownout's
@@ -888,26 +896,28 @@ class IftttEngine(HttpNode):
                     delay *= self.delivery.health_for(
                         applet.trigger.service_slug
                     ).stretch_factor(self.rng)
-                self._schedule_next_poll(runtime, delay)
-                return
-            runtime.poll_attempts = 0  # burst over; fall back to the regular cadence
-        self._schedule_next_poll(
-            runtime,
-            runtime.policy.sample_interval(
+            else:
+                self._poll_attempts[slot] = 0  # burst over; back to the regular cadence
+        if delay is None:
+            delay = policy.sample_interval(
                 self.rng,
                 metrics,
                 metric_name=self._n_poll_interval,
                 service=applet.trigger.service_slug,
-            ),
-        )
+            )
+        if self._slot_applets[slot] is None:
+            self._release_slot(slot)  # uninstalled while this poll was in flight
+        else:
+            self._schedule_next_poll(slot, delay)
 
-    def _remember_event(self, runtime: _AppletRuntime, event_id: int) -> None:
-        seen_order = runtime.seen_order
+    def _remember_event(self, slot: int, event_id: int) -> None:
+        seen_order = self._seen_order.get(slot)
         if seen_order is None:
             # First event for this applet: allocate its dedupe state.
-            runtime.seen_ids = set()
-            seen_order = runtime.seen_order = deque()
-        seen_ids = runtime.seen_ids
+            seen_ids = self._seen_ids[slot] = set()
+            seen_order = self._seen_order[slot] = deque()
+        else:
+            seen_ids = self._seen_ids[slot]
         seen_ids.add(event_id)
         seen_order.append(event_id)
         while len(seen_order) > self.config.dedupe_window:
@@ -915,23 +925,26 @@ class IftttEngine(HttpNode):
 
     # -- event processing: queries -> condition -> actions ----------------------------------
 
-    def _process_event(self, runtime: _AppletRuntime, wire_event: Dict[str, Any]) -> None:
+    def _process_event(self, applet: Applet, wire_event: Dict[str, Any]) -> None:
         """Run one trigger event through queries, the filter, and actions."""
-        applet = runtime.applet
+        # Read the filter now: the query round trips may outlast the
+        # applet's installation, and the event was committed to it.
+        filter_expr = self._filters.get(applet.applet_id - self._applet_id_start)
         if applet.queries:
-            self._run_queries(runtime, wire_event, list(applet.queries), {})
+            self._run_queries(applet, filter_expr, wire_event, list(applet.queries), {})
         else:
-            self._finish_event(runtime, wire_event, {})
+            self._finish_event(applet, filter_expr, wire_event, {})
 
     def _run_queries(
         self,
-        runtime: _AppletRuntime,
+        applet: Applet,
+        filter_expr: Optional[Expr],
         wire_event: Dict[str, Any],
         remaining: List[QueryRef],
         results: Dict[str, Any],
     ) -> None:
         if not remaining:
-            self._finish_event(runtime, wire_event, results)
+            self._finish_event(applet, filter_expr, wire_event, results)
             return
         query = remaining[0]
         registration = self._services[query.service_slug]
@@ -943,26 +956,26 @@ class IftttEngine(HttpNode):
             else:
                 self.query_failures += 1
                 results[q.query_slug] = []
-            self._run_queries(runtime, wire_event, remaining[1:], results)
+            self._run_queries(applet, filter_expr, wire_event, remaining[1:], results)
 
         self.post(
             registration.address,
             QUERY_PATH + query.query_slug,
-            body={"queryFields": dict(query.fields), "user": runtime.applet.user},
-            headers=self._auth_headers(registration, runtime.applet.user),
+            body={"queryFields": dict(query.fields), "user": applet.user},
+            headers=self._auth_headers(registration, applet.user),
             on_response=on_response,
             timeout=self.config.poll_timeout,
         )
 
     def _finish_event(
         self,
-        runtime: _AppletRuntime,
+        applet: Applet,
+        filter_expr: Optional[Expr],
         wire_event: Dict[str, Any],
         query_results: Dict[str, Any],
     ) -> None:
-        applet = runtime.applet
         ingredients = wire_event.get("ingredients", {})
-        if runtime.filter_expr is not None:
+        if filter_expr is not None:
             # Single-row query results flatten to the row dict so filter
             # code can say ``queries.thermostat.temperature < 25``.
             flattened = {
@@ -975,7 +988,7 @@ class IftttEngine(HttpNode):
                 "meta": {"time": self.now, "applet_id": applet.applet_id},
             }
             try:
-                verdict = bool(runtime.filter_expr.evaluate(namespace))
+                verdict = bool(filter_expr.evaluate(namespace))
             except FilterEvalError:
                 self.filter_errors += 1
                 if self.metrics is not None:
@@ -998,14 +1011,13 @@ class IftttEngine(HttpNode):
                     )
                 return
         for action in (applet.action, *applet.extra_actions):
-            self._dispatch_action(runtime, action, wire_event)
+            self._dispatch_action(applet, action, wire_event)
 
     # -- action dispatch ------------------------------------------------------------------
 
     def _dispatch_action(
-        self, runtime: _AppletRuntime, action: ActionRef, wire_event: Dict[str, Any]
+        self, applet: Applet, action: ActionRef, wire_event: Dict[str, Any]
     ) -> None:
-        applet = runtime.applet
         registration = self._services[action.service_slug]
         ingredients = wire_event.get("ingredients", {})
         fields = action.resolve_fields(ingredients)
@@ -1302,28 +1314,28 @@ class IftttEngine(HttpNode):
         return self.push.ingest(request.header("service_slug", ""), request)
 
     def _fast_poll_identity(self, identity: str, delay: float = 0.0) -> None:
+        start = self._applet_id_start
         for applet_id in self._by_identity.get(identity, ()):
-            runtime = self._applets[applet_id]
-            if runtime.applet.enabled and not runtime.poll_in_flight:
+            slot = applet_id - start
+            applet = self._slot_applets[slot]
+            if applet.enabled and not self._in_flight[slot]:
                 if self.delivery is not None:
-                    if runtime.fast_poll_pending:
+                    if self._fast_pending[slot]:
                         # Already has a fast poll in flight-to-fire; a
                         # second hint adds nothing but backlog drift.
                         continue
-                    runtime.fast_poll_pending = True
+                    self._fast_pending[slot] = 1
                     self.delivery.note_fast_poll_scheduled(
-                        runtime.applet.trigger.service_slug
+                        applet.trigger.service_slug
                     )
-                self._schedule_next_poll(runtime, delay)
+                self._schedule_next_poll(slot, delay)
 
-    def _clear_fast_poll(self, runtime: _AppletRuntime) -> None:
+    def _clear_fast_poll(self, slot: int, applet: Applet) -> None:
         """Release a cancelled applet's outstanding fast-poll slot."""
-        if runtime.fast_poll_pending:
-            runtime.fast_poll_pending = False
+        if self._fast_pending[slot]:
+            self._fast_pending[slot] = 0
             if self.delivery is not None:
-                self.delivery.note_fast_poll_done(
-                    runtime.applet.trigger.service_slug
-                )
+                self.delivery.note_fast_poll_done(applet.trigger.service_slug)
 
     def _resume_suppressed_hints(self, service_slug: str) -> None:
         """Half-open probe succeeded: fire the fast polls parked while the
@@ -1348,4 +1360,4 @@ class IftttEngine(HttpNode):
             self._fast_poll_identity(identity)
 
     def __repr__(self) -> str:
-        return f"<IftttEngine services={len(self._services)} applets={len(self._applets)}>"
+        return f"<IftttEngine services={len(self._services)} applets={len(self.applets)}>"

@@ -487,15 +487,17 @@ class PushController:
         engine = self.engine
         event_id = wire["meta"]["id"]
         delivered = 0
+        start = engine._applet_id_start
         for applet_id in engine._by_identity.get(identity, ()):
-            runtime = engine._applets.get(applet_id)
-            if runtime is None or not runtime.applet.enabled:
+            slot = applet_id - start
+            applet = engine._slot_applets[slot]
+            if applet is None or not applet.enabled:
                 continue
-            if event_id in runtime.seen_ids:
+            if event_id in engine._seen_ids.get(slot, ()):
                 continue
-            engine._remember_event(runtime, event_id)
-            runtime.policy.observe_events(1)
-            engine._process_event(runtime, wire)
+            engine._remember_event(slot, event_id)
+            engine._policies[slot].observe_events(1)
+            engine._process_event(applet, wire)
             delivered += 1
         if delivered:
             metrics = engine.metrics

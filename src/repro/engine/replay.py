@@ -127,7 +127,7 @@ class ReplayController:
     def _replayable(self, letter: DeadLetter) -> bool:
         """Replaying for an uninstalled applet would resurrect the
         removed-applet delivery bug; such letters stay sealed."""
-        return letter.applet_id in self.engine._applets
+        return self.engine.has_applet(letter.applet_id)
 
     # -- the drain ------------------------------------------------------------
 

@@ -73,6 +73,10 @@ from repro.simcore.trace import Trace
 #: bleeding into its neighbour's ids.
 APPLET_ID_STRIDE = 100000
 
+#: The first applet id of shard 0; shard ``i`` starts at
+#: ``APPLET_ID_BASE + i * stride``, so an id's shard is arithmetic.
+APPLET_ID_BASE = 100000
+
 
 def derive_applet_id_stride(expected_applets: Optional[int]) -> int:
     """The per-shard applet-id range width for a corpus of the given size.
@@ -194,7 +198,7 @@ class ShardedEngine:
                 service_time=service_time,
                 metrics=metrics,
                 metrics_namespace=f"engine.shard{index}",
-                applet_id_start=100000 + index * self.applet_id_stride,
+                applet_id_start=APPLET_ID_BASE + index * self.applet_id_stride,
                 applet_id_limit=self.applet_id_stride,
             )
             self.networks[index].add_node(shard)
@@ -203,7 +207,6 @@ class ShardedEngine:
         #: popularity_balanced; round_robin assigns per applet).
         self._service_shard: Dict[str, int] = {}
         self._shard_loads: List[int] = [0] * self.num_shards
-        self._applet_shard: Dict[int, int] = {}
         self._published: Dict[str, Tuple[PartnerService, Dict[int, str]]] = {}
         self._rr_counter = itertools.count()
 
@@ -350,13 +353,19 @@ class ShardedEngine:
             queries=queries,
             filter_code=filter_code,
         )
-        self._applet_shard[applet.applet_id] = shard
         self._shard_loads[shard] += 1
         return applet
 
     def shard_of(self, applet_id: int) -> int:
-        """Which shard owns an installed applet."""
-        return self._applet_shard[applet_id]
+        """Which shard owns an installed applet (``KeyError`` if none).
+
+        Shard id ranges are disjoint strides, so the owner follows from
+        the id; the shard confirms the applet is still installed.
+        """
+        shard = (applet_id - APPLET_ID_BASE) // self.applet_id_stride
+        if 0 <= shard < self.num_shards and self.shards[shard].has_applet(applet_id):
+            return shard
+        raise KeyError(applet_id)
 
     def engine_for(self, applet_id: int) -> IftttEngine:
         """The shard engine that owns an applet."""
@@ -381,7 +390,7 @@ class ShardedEngine:
 
     def uninstall_applet(self, applet_id: int) -> Applet:
         """Remove an applet and release its slot in the shard-load ledger."""
-        shard = self._applet_shard.pop(applet_id)
+        shard = self.shard_of(applet_id)
         self._shard_loads[shard] -= 1
         return self.shards[shard].uninstall_applet(applet_id)
 

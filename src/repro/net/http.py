@@ -184,8 +184,11 @@ class HttpNode(Node):
         sent_at = self.now
         timeout_event = None
         if on_response is not None:
+            # A constant label: the request id is already the event's
+            # argument, and formatting one string per request cost a
+            # live string per in-flight poll.
             timeout_event = self.sim.schedule(
-                timeout, self._on_timeout, req.request_id, label=f"http-timeout#{req.request_id}"
+                timeout, self._on_timeout, req.request_id, label="http-timeout"
             )
             self._pending[req.request_id] = (on_response, timeout_event, sent_at)
         self.send(dst, HTTP_PROTOCOL, {"type": "request", "request": req}, size_bytes=size_bytes)

@@ -42,8 +42,8 @@ class Event:
         label: Optional[str] = None,
         seq: Optional[int] = None,
     ) -> None:
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
+        if not time >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"event time must be a non-negative number, got {time}")
         self.time = float(time)
         self.callback = callback
         self.args = args

@@ -109,7 +109,7 @@ class Simulator:
 
         Returns the :class:`Event`, which the caller may ``cancel()``.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which compares false
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args, priority=priority, label=label)
 
@@ -122,7 +122,7 @@ class Simulator:
         label: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` at the absolute simulation time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(f"cannot schedule at t={time} < now={self._now}")
         event = Event(
             time, callback, args, priority=priority, label=label, seq=next(self._seq)
@@ -190,20 +190,35 @@ class Simulator:
         :meth:`step`/:meth:`run_until` resumes instead of raising
         ``SimulationError("event heap corrupted: time went backwards")``.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(f"cannot run until t={time} < now={self._now}")
         self._running = True
         self._stopped = False
         fired = 0
         started = _wall.perf_counter()
+        heap = self._heap
+        heappop = heapq.heappop
         try:
+            # The kernel hot path: one heap pass per event, with the
+            # step() body inlined on local variables.
             while not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                next_event = self._peek()
-                if next_event is None or next_event.time > time:
+                while heap and heap[0]._canceled:
+                    heappop(heap)
+                if not heap or heap[0].time > time:
                     break
-                self.step()
+                event = heappop(heap)
+                if event.time < self._now:
+                    raise SimulationError("event heap corrupted: time went backwards")
+                self._now = event.time
+                self._fired_count += 1
+                self._live -= 1
+                # Detach before firing: a late cancel() on an
+                # already-fired event must not decrement the live
+                # counter again.
+                event._owner = None
+                event.callback(*event.args)
                 fired += 1
         finally:
             self._running = False

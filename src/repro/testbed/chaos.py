@@ -673,7 +673,7 @@ class ChaosWorld:
         snapshot = deterministic_snapshot(self.metrics)
         extras = _delivery_extras(
             [engine],
-            probe_policy=engine._applets[self.applet.applet_id].policy,
+            probe_policy=engine.policy_of(self.applet.applet_id),
         )
         return ChaosResult(
             scenario=scenario.name,
@@ -1091,7 +1091,7 @@ class ShardedChaosWorld:
         victim_engine = self.fleet.shards[self.victim_shard]
         extras = _delivery_extras(
             list(self.fleet.shards),
-            probe_policy=victim_engine._applets[self.applets[0].applet_id].policy,
+            probe_policy=victim_engine.policy_of(self.applets[0].applet_id),
         )
         return ShardedChaosResult(
             scenario=scenario.name,
@@ -1413,7 +1413,7 @@ class ParallelShardedChaosWorld:
         victim_engine = self.fleet.shards[self.victim_shard]
         extras = _delivery_extras(
             list(self.fleet.shards),
-            probe_policy=victim_engine._applets[self.applets[0].applet_id].policy,
+            probe_policy=victim_engine.policy_of(self.applets[0].applet_id),
         )
         fault_window: Dict[str, int] = {}
         for watcher in self.watchers:

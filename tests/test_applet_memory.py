@@ -4,8 +4,8 @@ Most applets of a fleet never see a trigger event (the real recipe
 corpora are heavy-tailed and mostly idle), so the engine and the partner
 services allocate per-applet state only when it is first used:
 
-* the engine's dedupe state (``_AppletRuntime.seen_ids``/``seen_order``)
-  on the first remembered event id;
+* the engine's dedupe state (the sparse ``_seen_ids``/``_seen_order``
+  columns) on the first remembered event id;
 * a service's trigger ring (``TriggerBuffer._events``) on the first
   appended event;
 * one polling-policy clone per (engine, trigger service) unless the
@@ -35,11 +35,13 @@ from repro.testbed.workload import FleetWorld, ShardedFleetWorld
 from tests.helpers import build_engine_world, install_ping_applet
 
 #: Engine + services bytes per idle applet after the first poll wave.
-#: Measured on CPython 3.11: 787 B on the 2K-applet FleetWorld and 833 B
-#: on the 2-shard ShardedFleetWorld, against 2969 B / 3012 B with eager
-#: dedupe and trigger-ring state, per-applet policy clones and an
-#: unslotted applet object.
-IDLE_APPLET_BUDGET_B = 900
+#: Measured on CPython 3.11: 542 B on the 2K-applet FleetWorld and 554 B
+#: on the 2-shard ShardedFleetWorld with columnar applet slots, against
+#: 747 B / 793 B with a slotted per-applet runtime object and tuple heap
+#: entries, and 2969 B / 3012 B before that with eager dedupe and
+#: trigger-ring state, per-applet policy clones and an unslotted applet
+#: object.  The budget is the larger measurement plus 10%.
+IDLE_APPLET_BUDGET_B = 610
 
 BUDGET_APPLETS = 2_000
 
@@ -85,39 +87,45 @@ class TestIdleAppletBudget:
         world.shutdown()
 
 
-def runtime_of(engine, applet):
-    return engine._applets[applet.applet_id]
+def seen_ids(engine, applet):
+    """The applet's dedupe set, as the engine's membership check sees it."""
+    return engine._seen_ids.get(engine._slot_of(applet.applet_id), frozenset())
+
+
+def seen_order(engine, applet):
+    """The applet's dedupe FIFO, or ``None`` while it has none."""
+    return engine._seen_order.get(engine._slot_of(applet.applet_id))
 
 
 class TestLazyDedupe:
     def test_first_event_allocates_then_dedupes_across_polls(self):
         world = build_engine_world(with_trace=False)
-        applet = install_ping_applet(world.engine)
+        engine = world.engine
+        applet = install_ping_applet(engine)
         world.sim.run_until(25.0)
-        runtime = runtime_of(world.engine, applet)
         # idle polls allocate nothing; membership checks still answer
-        assert runtime.polls >= 2
-        assert runtime.seen_order is None
-        assert not runtime.seen_ids and 1 not in runtime.seen_ids
+        assert engine.poll_count(applet.applet_id) >= 2
+        assert seen_order(engine, applet) is None
+        assert not seen_ids(engine, applet) and 1 not in seen_ids(engine, applet)
         world.service.ingest_event("ping", {"n": 1})
         world.sim.run_until(80.0)
         # several polls re-returned the buffered event; it fired once
-        assert runtime.polls >= 7
+        assert engine.poll_count(applet.applet_id) >= 7
         assert world.executed == [{"note": "1"}]
         event_id = world.service.buffer_for(applet.trigger_identity).latest().event_id
-        assert runtime.seen_ids == {event_id}
-        assert list(runtime.seen_order) == [event_id]
+        assert seen_ids(engine, applet) == {event_id}
+        assert list(seen_order(engine, applet)) == [event_id]
 
     def test_first_event_dedupes_across_push_and_poll_paths(self):
         world = FleetWorld(3, push=True, with_trace=False, with_metrics=False, seed=7)
         engine = world.engine
-        runtimes = [runtime_of(engine, applet) for applet in engine.applets]
-        assert all(rt.seen_order is None for rt in runtimes)
+        applets = engine.applets
+        assert all(seen_order(engine, applet) is None for applet in applets)
         world.publish("first")
         world.sim.run_until(world.sim.now + 30.0)
         # the push path delivered (and remembered) the event
         assert world.actions_executed == 3
-        assert all(len(rt.seen_ids) == 1 for rt in runtimes)
+        assert all(len(seen_ids(engine, applet)) == 1 for applet in applets)
         polls_before = engine.polls_sent
         safety_net = engine.config.push_policy.safety_net_interval
         world.sim.run_until(world.sim.now + 2 * safety_net)
@@ -133,15 +141,17 @@ class TestLazyDedupe:
             with_trace=False,
         )
         engine = world.engine
-        runtime = runtime_of(engine, install_ping_applet(engine))
-        engine._remember_event(runtime, 1)
-        seen_ids, seen_order = runtime.seen_ids, runtime.seen_order
+        applet = install_ping_applet(engine)
+        slot = engine._slot_of(applet.applet_id)
+        engine._remember_event(slot, 1)
+        first_ids, first_order = seen_ids(engine, applet), seen_order(engine, applet)
         for event_id in range(2, 6):
-            engine._remember_event(runtime, event_id)
+            engine._remember_event(slot, event_id)
         # allocated once, then evicted oldest-first down to the window
-        assert runtime.seen_ids is seen_ids and runtime.seen_order is seen_order
-        assert list(runtime.seen_order) == [3, 4, 5]
-        assert runtime.seen_ids == {3, 4, 5}
+        assert seen_ids(engine, applet) is first_ids
+        assert seen_order(engine, applet) is first_order
+        assert list(seen_order(engine, applet)) == [3, 4, 5]
+        assert seen_ids(engine, applet) == {3, 4, 5}
 
 
 def make_events(count):
@@ -182,7 +192,7 @@ class TestSharedPolicies:
     def install(self, config, count=3):
         world = build_engine_world(config=config, with_trace=False)
         applets = [install_ping_applet(world.engine) for _ in range(count)]
-        return world.engine, [runtime_of(world.engine, a).policy for a in applets]
+        return world.engine, [world.engine.policy_of(a.applet_id) for a in applets]
 
     @pytest.mark.parametrize(
         "prototype", [ProductionPollingPolicy(), FixedPollingPolicy(10.0)],

@@ -87,8 +87,9 @@ class TestUninstallStormCompaction:
         world.engine.uninstall_applet(victim.applet_id)
         world.sim.run_until(20.0)
         assert victim.applet_id not in [
-            rt.applet.applet_id for rt in world.engine._applets.values()
+            applet.applet_id for applet in world.engine.applets
         ]
+        assert not world.engine.has_applet(victim.applet_id)
         assert world.engine.stats()["applets"] == 19
         assert polls_before >= 1
 

@@ -33,8 +33,6 @@ from repro.engine import (
     ShardedEngine,
     TriggerRef,
 )
-from repro.engine.engine import _AppletRuntime
-from repro.engine.applet import Applet
 from repro.engine.oauth import OAuthAuthority
 from repro.net import Address, FixedLatency, Network
 from repro.obs.metrics import MetricsRegistry, deterministic_snapshot
@@ -57,28 +55,25 @@ def snapshot_sha256(metrics) -> str:
 
 
 class StubEngine:
-    """The minimal surface the scheduler needs: sim, ``_poll``, ``_applets``."""
+    """The minimal surface the scheduler needs: ``sim`` and ``_poll(slot)``.
+
+    ``add_runtime`` allocates a scheduler slot for an applet id; fired
+    polls are recorded as ``(time, applet_id)``.
+    """
 
     def __init__(self):
         self.sim = Simulator()
-        self._applets = {}
         self._scheduler = HeapPollScheduler(self)
+        self._slot_ids = []
         self.fired = []
 
-    def add_runtime(self, applet_id: int) -> _AppletRuntime:
-        applet = Applet(
-            applet_id=applet_id,
-            name=f"a{applet_id}",
-            user="u",
-            trigger=TriggerRef("svc", "t"),
-            action=ActionRef("svc", "a", {}),
-        )
-        runtime = _AppletRuntime(applet=applet, policy=FixedPollingPolicy(10.0))
-        self._applets[applet_id] = runtime
-        return runtime
+    def add_runtime(self, applet_id: int) -> int:
+        slot = self._scheduler.add_slot()
+        self._slot_ids.append(applet_id)
+        return slot
 
-    def _poll(self, runtime):
-        self.fired.append((self.sim.now, runtime.applet.applet_id))
+    def _poll(self, slot):
+        self.fired.append((self.sim.now, self._slot_ids[slot]))
 
 
 class TestFactoryAndConfig:

@@ -341,8 +341,8 @@ class TestIsolation:
             )
             for engine in engines
         ]
-        policy_a = engines[0]._applets[applets[0].applet_id].policy
-        policy_b = engines[1]._applets[applets[1].applet_id].policy
+        policy_a = engines[0].policy_of(applets[0].applet_id)
+        policy_b = engines[1].policy_of(applets[1].applet_id)
         assert policy_a is not policy_b is not config.poll_policy
         policy_a.observe_events(5)
         assert policy_a.activity > 0.0
